@@ -348,23 +348,24 @@ def make_families(smoke: bool, seed: int = 0):
 
     # -- bootstrap: per-stratum resampled row sums -------------------------
     n = 400
-    bs_matches = (rng.random(n) < 0.3).astype(float)
-    bs_values = np.where(bs_matches > 0, rng.random(n), 0.0)
+    bs_mask = rng.random(n) < 0.3
+    bs_matches = bs_mask.astype(float)  # the legacy loop's 0/1 float column
+    bs_values = np.where(bs_mask, rng.random(n), 0.0)
     resample_idx = rng.integers(0, n, size=(300, n))
     reps_bootstrap = 5 * scale
 
-    def run_bootstrap(fn):
+    def run_bootstrap(fn, matches):
         out = None
         for _ in range(reps_bootstrap):
-            out = fn(bs_matches, bs_values, resample_idx)
+            out = fn(matches, bs_values, resample_idx)
         return out
 
     families.append(
         {
             "name": "bootstrap",
             "native": False,
-            "legacy": lambda: run_bootstrap(legacy_bootstrap),
-            "kernel": lambda ks: run_bootstrap(ks.bootstrap_resample_stats),
+            "legacy": lambda: run_bootstrap(legacy_bootstrap, bs_matches),
+            "kernel": lambda ks: run_bootstrap(ks.bootstrap_resample_stats, bs_mask),
         }
     )
 

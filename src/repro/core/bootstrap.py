@@ -27,6 +27,52 @@ __all__ = [
 ]
 
 
+def _resample_strata(
+    samples: Sequence[StratumSample],
+    num_bootstrap: int,
+    rng: Optional[RandomState],
+) -> tuple:
+    """The resampling core: bootstrap matrices of ``p*_k`` and ``mu*_k``.
+
+    Every stratum with draws costs exactly one ``(num_bootstrap, n)``
+    index draw from ``rng`` and one resample pass; strata are visited in
+    order, so the stream position after the call depends only on the
+    per-stratum draw counts.
+    """
+    if num_bootstrap <= 0:
+        raise ValueError(f"num_bootstrap must be positive, got {num_bootstrap}")
+    if not samples:
+        raise ValueError("bootstrap requires at least one stratum of samples")
+    rng = rng or RandomState(0)
+    kernels = kernel_set()
+    num_strata = len(samples)
+    p_star = np.zeros((num_bootstrap, num_strata))
+    mu_star = np.zeros((num_bootstrap, num_strata))
+    for k, sample in enumerate(samples):
+        n = sample.num_draws
+        if n == 0:
+            # Nothing was drawn from this stratum; it contributes p* = 0.
+            continue
+        values = np.where(sample.matches, sample.values, 0.0)
+        # (num_bootstrap, n) index matrix of resampled positions.
+        resample_idx = rng.integers(0, n, size=(num_bootstrap, n))
+        positives, sums = kernels.bootstrap_resample_stats(
+            sample.matches, values, resample_idx
+        )
+        p_star[:, k] = positives / n
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mu_star[:, k] = np.where(positives > 0, sums / np.maximum(positives, 1), 0.0)
+    return p_star, mu_star
+
+
+def _percentile_interval(estimates: np.ndarray, alpha: float) -> ConfidenceInterval:
+    """The two-sided percentile CI at level ``1 - alpha`` of a bootstrap draw."""
+    lower, upper = np.percentile(
+        estimates, [100.0 * (alpha / 2.0), 100.0 * (1.0 - alpha / 2.0)]
+    )
+    return ConfidenceInterval(lower=float(lower), upper=float(upper), alpha=alpha)
+
+
 def bootstrap_estimates(
     samples: Sequence[StratumSample],
     num_bootstrap: int = 1000,
@@ -40,33 +86,7 @@ def bootstrap_estimates(
     yields a positive record produce an estimate of 0.0, mirroring the point
     estimator's convention.
     """
-    if num_bootstrap <= 0:
-        raise ValueError(f"num_bootstrap must be positive, got {num_bootstrap}")
-    if not samples:
-        raise ValueError("bootstrap requires at least one stratum of samples")
-    rng = rng or RandomState(0)
-    kernels = kernel_set()
-
-    num_strata = len(samples)
-    p_star = np.zeros((num_bootstrap, num_strata))
-    mu_star = np.zeros((num_bootstrap, num_strata))
-
-    for k, sample in enumerate(samples):
-        n = sample.num_draws
-        if n == 0:
-            # Nothing was drawn from this stratum; it contributes p* = 0.
-            continue
-        matches = sample.matches.astype(float)
-        values = np.where(sample.matches, sample.values, 0.0)
-        # (num_bootstrap, n) index matrix of resampled positions.
-        resample_idx = rng.integers(0, n, size=(num_bootstrap, n))
-        positives, sums = kernels.bootstrap_resample_stats(
-            matches, values, resample_idx
-        )
-        p_star[:, k] = positives / n
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mu_star[:, k] = np.where(positives > 0, sums / np.maximum(positives, 1), 0.0)
-
+    p_star, mu_star = _resample_strata(samples, num_bootstrap, rng)
     denominators = p_star.sum(axis=1)
     numerators = (p_star * mu_star).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -84,34 +104,7 @@ def bootstrap_confidence_interval(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     estimates = bootstrap_estimates(samples, num_bootstrap=num_bootstrap, rng=rng)
-    lower = float(np.percentile(estimates, 100.0 * (alpha / 2.0)))
-    upper = float(np.percentile(estimates, 100.0 * (1.0 - alpha / 2.0)))
-    return ConfidenceInterval(lower=lower, upper=upper, alpha=alpha)
-
-
-def _per_stratum_bootstrap(
-    samples: Sequence[StratumSample],
-    num_bootstrap: int,
-    rng: RandomState,
-) -> tuple:
-    """Shared resampling core: bootstrap matrices of p*_k and mu*_k."""
-    kernels = kernel_set()
-    num_strata = len(samples)
-    p_star = np.zeros((num_bootstrap, num_strata))
-    mu_star = np.zeros((num_bootstrap, num_strata))
-    for k, sample in enumerate(samples):
-        n = sample.num_draws
-        if n == 0:
-            continue
-        matches = sample.matches.astype(float)
-        values = np.where(sample.matches, sample.values, 0.0)
-        resample_idx = rng.integers(0, n, size=(num_bootstrap, n))
-        positives, sums = kernels.bootstrap_resample_stats(
-            matches, values, resample_idx
-        )
-        p_star[:, k] = positives / n
-        mu_star[:, k] = np.where(positives > 0, sums / np.maximum(positives, 1), 0.0)
-    return p_star, mu_star
+    return _percentile_interval(estimates, alpha)
 
 
 def bootstrap_aggregate_estimates(
@@ -133,15 +126,10 @@ def bootstrap_aggregate_estimates(
     """
     if kind not in ("avg", "sum", "count"):
         raise ValueError(f"kind must be 'avg', 'sum' or 'count', got {kind!r}")
-    if num_bootstrap <= 0:
-        raise ValueError(f"num_bootstrap must be positive, got {num_bootstrap}")
-    if not samples:
-        raise ValueError("bootstrap requires at least one stratum of samples")
     sizes = np.asarray(stratum_sizes, dtype=float)
     if sizes.shape[0] != len(samples):
         raise ValueError("stratum_sizes must have one entry per stratum")
-    rng = rng or RandomState(0)
-    p_star, mu_star = _per_stratum_bootstrap(samples, num_bootstrap, rng)
+    p_star, mu_star = _resample_strata(samples, num_bootstrap, rng)
     counts = (p_star * sizes[None, :]).sum(axis=1)
     sums = (p_star * sizes[None, :] * mu_star).sum(axis=1)
     if kind == "count":
@@ -166,6 +154,4 @@ def bootstrap_aggregate_interval(
     estimates = bootstrap_aggregate_estimates(
         samples, stratum_sizes, kind=kind, num_bootstrap=num_bootstrap, rng=rng
     )
-    lower = float(np.percentile(estimates, 100.0 * (alpha / 2.0)))
-    upper = float(np.percentile(estimates, 100.0 * (1.0 - alpha / 2.0)))
-    return ConfidenceInterval(lower=lower, upper=upper, alpha=alpha)
+    return _percentile_interval(estimates, alpha)

@@ -166,20 +166,21 @@ def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 
 @register_kernel("bootstrap_resample_stats")
 def bootstrap_resample_stats(
-    matches: np.ndarray, values: np.ndarray, resample_idx: np.ndarray
+    mask: np.ndarray, values: np.ndarray, resample_idx: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-trial positive counts and positive-value sums for one stratum.
 
-    ``matches`` is the stratum's 0/1 match column (float), ``values`` its
+    ``mask`` is the stratum's boolean match mask, ``values`` its
     statistic column with unmatched entries already zeroed, and
     ``resample_idx`` the ``(num_bootstrap, n)`` resampled position
-    matrix.  Row reductions use NumPy's pairwise summation — part of the
-    bitwise contract, hence reference-only (see module docstring).
+    matrix.  Because unmatched values are zero, one gather of ``values``
+    gives the positive-value sums directly; the positive counts are a
+    ``count_nonzero`` over the gathered mask, returned as float64.  Row
+    sums use NumPy's pairwise summation — part of the bitwise contract,
+    hence reference-only (see module docstring).
     """
-    resampled_matches = matches[resample_idx]
-    resampled_values = values[resample_idx]
-    positives = resampled_matches.sum(axis=1)
-    sums = (resampled_values * resampled_matches).sum(axis=1)
+    positives = np.count_nonzero(mask[resample_idx], axis=1).astype(np.float64)
+    sums = values[resample_idx].sum(axis=1)
     return positives, sums
 
 

@@ -505,7 +505,7 @@ def prepare_query(
                 budget=query.oracle.limit,
                 num_strata=num_strata,
                 stage1_fraction=stage1_fraction,
-                with_ci=with_ci,
+                with_ci=_sampler_needs_ci(query, with_ci),
                 alpha=query.alpha,
                 num_bootstrap=num_bootstrap,
                 config=plan.config,
@@ -524,7 +524,7 @@ def prepare_query(
                 budget=query.oracle.limit,
                 num_strata=num_strata,
                 stage1_fraction=stage1_fraction,
-                with_ci=with_ci,
+                with_ci=_sampler_needs_ci(query, with_ci),
                 alpha=query.alpha,
                 num_bootstrap=num_bootstrap,
                 config=plan.config,
@@ -548,6 +548,20 @@ def _statistic_for(query: Query, context: QueryContext, backend=None):
     if query.aggregate.kind is AggregateKind.COUNT:
         return np.ones(context.num_records, dtype=float)
     return context.resolve_statistic(query.aggregate.expression, backend=backend)
+
+
+def _sampler_needs_ci(query: Query, with_ci: bool) -> bool:
+    """Whether the sampler itself should bootstrap its AVG-space CI.
+
+    Only AVG and PERCENTAGE answers use that interval.  SUM and COUNT get
+    theirs from :func:`bootstrap_aggregate_interval` in
+    :func:`_finalize_scalar`, so a sampler-side bootstrap would be thrown
+    away — every plan that builds a sampler asks here.
+    """
+    return with_ci and query.aggregate.kind in (
+        AggregateKind.AVG,
+        AggregateKind.PERCENTAGE,
+    )
 
 
 def _finalize_scalar(
@@ -613,7 +627,7 @@ def _execute_single_predicate(
         budget=query.oracle.limit,
         num_strata=num_strata,
         stage1_fraction=stage1_fraction,
-        with_ci=with_ci,
+        with_ci=_sampler_needs_ci(query, with_ci),
         alpha=query.alpha,
         num_bootstrap=num_bootstrap,
         rng=rng,
@@ -677,7 +691,7 @@ def _execute_multi_predicate(
         budget=query.oracle.limit,
         num_strata=num_strata,
         stage1_fraction=stage1_fraction,
-        with_ci=with_ci,
+        with_ci=_sampler_needs_ci(query, with_ci),
         alpha=query.alpha,
         num_bootstrap=num_bootstrap,
         rng=rng,

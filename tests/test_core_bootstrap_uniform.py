@@ -12,6 +12,7 @@ from repro.core.bootstrap import (
 )
 from repro.core.types import StratumSample
 from repro.core.uniform import UniformSampler, run_uniform
+from repro.query import QueryContext, exact_answer, execute_query
 from repro.stats.rng import RandomState
 
 
@@ -110,6 +111,27 @@ class TestBootstrapConfidenceInterval:
                 rng=RandomState(seed),
             )
             covered += int(result.ci.covers(truth))
+        assert covered / trials >= 0.85
+
+    @pytest.mark.parametrize("kind", ["SUM", "COUNT"])
+    def test_nominal_coverage_of_sum_and_count_queries(self, medium_scenario, kind):
+        """SUM / COUNT CIs through ``execute_query`` cover the exact answer."""
+        context = QueryContext(medium_scenario.num_records)
+        context.register_statistic("stat", medium_scenario.statistic_values)
+        context.register_predicate(
+            "pred", medium_scenario.make_oracle(), medium_scenario.proxy,
+            labels=medium_scenario.labels,
+        )
+        text = (
+            f"SELECT {kind}(stat(rec)) FROM t WHERE pred(rec) "
+            "ORACLE LIMIT 1500 USING proxy WITH PROBABILITY 0.95"
+        )
+        truth = exact_answer(text, context)
+        trials = 40
+        covered = sum(
+            int(execute_query(text, context, num_bootstrap=200, seed=seed).ci.covers(truth))
+            for seed in range(trials)
+        )
         assert covered / trials >= 0.85
 
 
