@@ -3,7 +3,7 @@
 
 The CI ``analysis`` job runs this repo-wide and requires zero findings;
 locally it is the fastest way to check a change against the determinism,
-lock-discipline, kernel-contract and api-hygiene rules before pushing.
+lock-discipline and api-hygiene rules before pushing.
 
     PYTHONPATH=src python scripts/lint_repro.py                 # whole tree
     PYTHONPATH=src python scripts/lint_repro.py src/repro/serve # one package

@@ -18,10 +18,6 @@ The package is organized as:
 * :mod:`repro.data` — pluggable dataset storage behind the samplers:
   dense in-memory (default), memory-mapped and chunked out-of-core
   backends with bit-identical results (see docs/DATA_BACKENDS.md);
-* :mod:`repro.kernels` — the sampler inner loops as registered kernels:
-  a pure-NumPy reference defining the bitwise contract, plus an optional
-  auto-detected numba backend (the ``kernel=`` execution hint /
-  ``REPRO_KERNEL``) that never changes results;
 * :mod:`repro.stats`, :mod:`repro.optim` — statistics and optimization
   building blocks;
 * :mod:`repro.synth` — synthetic emulators of the paper's six datasets;
@@ -81,7 +77,7 @@ from repro.data import ChunkedBackend, DatasetBackend, InMemoryBackend, MmapBack
 from repro.engine import ExecutionConfig, SamplingPipeline, SamplingSession
 from repro.query import execute_query, parse_query
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "ABae",

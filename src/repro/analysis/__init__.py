@@ -7,8 +7,7 @@ Two halves:
   — an AST invariant checker for the contracts ordinary linters cannot
   see: all randomness through ``repro.stats.rng``, all wall-clock reads
   through ``repro.clock``, guarded state only mutated under its declared
-  lock (``@guarded_by``), the kernel registry's bit-identity clauses, and
-  ``__all__``/docs consistency.  CLI: ``scripts/lint_repro.py``.
+  lock (``@guarded_by``), and ``__all__``/docs consistency.  CLI: ``scripts/lint_repro.py``.
 * **lockwatch** (:mod:`repro.analysis.lockwatch`) — a runtime
   acquisition-order detector that runs the real serve / remote / chaos
   suites under instrumented locks and raises on lock-order cycles before

@@ -4,8 +4,7 @@ The repo's correctness story rests on conventions that ordinary linters
 cannot see — bit-identical determinism (all randomness through
 :mod:`repro.stats.rng`, all wall-clock reads through :mod:`repro.clock`),
 lock discipline (``@guarded_by`` annotations, see
-:mod:`repro.analysis.annotations`), the kernel registry contract, and
-``__all__``/docs consistency.  This module is the engine that runs the
+:mod:`repro.analysis.annotations`), and ``__all__``/docs consistency.  This module is the engine that runs the
 project rules in :mod:`repro.analysis.rules` over the tree and reports
 :class:`Finding`\\ s; ``scripts/lint_repro.py`` is the CLI and the CI
 gate (see docs/STATIC_ANALYSIS.md for the rule catalog).

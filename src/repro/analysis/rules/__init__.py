@@ -14,13 +14,11 @@ from typing import List
 from repro.analysis.linter import Rule
 from repro.analysis.rules.api import ApiHygieneRule
 from repro.analysis.rules.determinism import DeterminismRule
-from repro.analysis.rules.kernels import KernelContractRule
 from repro.analysis.rules.locks import LockDisciplineRule
 
 __all__ = [
     "ApiHygieneRule",
     "DeterminismRule",
-    "KernelContractRule",
     "LockDisciplineRule",
     "all_rules",
 ]
@@ -31,6 +29,5 @@ def all_rules() -> List[Rule]:
     return [
         DeterminismRule(),
         LockDisciplineRule(),
-        KernelContractRule(),
         ApiHygieneRule(),
     ]

@@ -8,7 +8,7 @@ bit-identical results.  That guarantee dies the moment an execution-path
 module draws from an ambient RNG, reads the wall clock, or iterates a
 ``set`` (whose order depends on ``PYTHONHASHSEED`` for str keys).  These
 rules mechanically enforce the conventions in the packages on the
-execution path: ``core``, ``engine``, ``kernels``, ``oracle``, ``serve``,
+execution path: ``core``, ``engine``, ``oracle``, ``serve``,
 plus the top-level ``repro`` modules.
 
 Three rule ids (suppressible independently):
@@ -33,7 +33,7 @@ from repro.analysis.linter import FileContext, Finding, Rule
 __all__ = ["CHECKED_PACKAGES", "WALL_CLOCK_ALLOWLIST", "DeterminismRule"]
 
 #: Sub-packages of ``src/repro`` on the deterministic execution path.
-CHECKED_PACKAGES = ("core", "engine", "kernels", "oracle", "serve")
+CHECKED_PACKAGES = ("core", "engine", "oracle", "serve")
 
 #: The single module allowed to read the wall clock (the Clock seam).
 WALL_CLOCK_ALLOWLIST = ("src/repro/clock.py",)

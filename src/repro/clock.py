@@ -2,7 +2,7 @@
 
 Determinism contract (enforced by ``repro.analysis`` / the ``wall-clock``
 lint rule): production code in the checked packages (``core``, ``engine``,
-``kernels``, ``oracle``, ``serve``) never reads the wall clock directly —
+``oracle``, ``serve``) never reads the wall clock directly —
 no ``time.time()``, ``time.monotonic()``, ``time.perf_counter()`` or
 ``time.sleep()`` call sites.  Instead, components take an injectable
 ``clock`` (and, where they block, a ``sleep``) whose *default* is the

@@ -25,7 +25,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.kernels import kernel_set
 from repro.stats.sampling import proportional_integer_allocation
 
 __all__ = [
@@ -50,8 +49,10 @@ def _validate_p_sigma(p: np.ndarray, sigma: np.ndarray) -> None:
         )
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p and sigma must be non-empty 1-D arrays")
-    if np.any(p < 0) or np.any(p > 1):
+    if not (np.all(p >= 0) and np.all(p <= 1)):
         raise ValueError("per-stratum positive rates must lie in [0, 1]")
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("per-stratum standard deviations must be finite")
     if np.any(sigma < 0):
         raise ValueError("per-stratum standard deviations must be non-negative")
 
@@ -242,18 +243,22 @@ def solve_minimax_single_oracle(error_terms: np.ndarray, n2: int) -> np.ndarray:
     # and positive; a group is informative when any of its cells is (zero
     # terms mean zero variance: nothing to optimize).  Both masks are
     # computed once — the solver evaluates the objective hundreds of
-    # times, so the per-evaluation work is one vectorized kernel call
-    # instead of a nested Python loop.
+    # times, so the per-evaluation work is vectorized over the S-term
+    # matrix instead of a nested Python loop.
     usable = np.isfinite(error_terms) & (error_terms > 0)
     informative = usable.any(axis=0)
     if not informative.any():
         return np.full(num_groups, 1.0 / num_groups)
-    kernels = kernel_set()
 
     def objective(lam: np.ndarray) -> float:
-        return kernels.minimax_single_objective(
-            error_terms, usable, informative, lam, n2, _EPS
-        )
+        # Each group's variance is the inverse-variance combination across
+        # stratifications of ``term / max(lam_l * n2, eps)``.
+        denom = np.maximum(lam * n2, _EPS)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inverse = np.where(usable, 1.0 / (error_terms / denom[:, None]), 0.0)
+            inverse_sum = inverse.sum(axis=0)
+            combined = np.where(inverse_sum > 0, 1.0 / inverse_sum, np.inf)
+        return float(combined[informative].max())
 
     result = minimize_on_simplex(objective, num_groups)
     return result.x
@@ -284,12 +289,11 @@ def solve_minimax_multi_oracle(error_terms: np.ndarray, n2: int) -> np.ndarray:
     informative = np.isfinite(error_terms) & (error_terms > 0)
     if not informative.any():
         return np.full(num_groups, 1.0 / num_groups)
-    kernels = kernel_set()
+    terms = error_terms[informative]
 
     def objective(lam: np.ndarray) -> float:
-        return kernels.minimax_multi_objective(
-            error_terms, informative, lam, n2, _EPS
-        )
+        # Per-group isolated variances; the worst one is the objective.
+        return float((terms / np.maximum(lam[informative] * n2, _EPS)).max())
 
     result = minimize_on_simplex(objective, num_groups)
     return result.x

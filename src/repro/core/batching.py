@@ -42,6 +42,7 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "batch_slices",
     "statistic_batch",
+    "require_finite_statistic",
     "label_records",
 ]
 
@@ -85,6 +86,24 @@ def statistic_batch(
     return np.array([float(statistic(i)) for i in idx.tolist()], dtype=float)
 
 
+def require_finite_statistic(
+    record_indices: np.ndarray, values: np.ndarray, matched: np.ndarray
+) -> None:
+    """Raise ``ValueError`` if any matched draw's statistic is non-finite.
+
+    Unmatched draws carry NaN by design and are not checked.  A NaN or
+    infinite statistic on a matched draw would otherwise flow into the
+    plug-in estimates and silently corrupt Stage 2's allocation.
+    """
+    bad = matched & ~np.isfinite(values)
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"statistic of matched record {int(record_indices[first])} is "
+            f"{float(values[first])!r}; statistics must be finite"
+        )
+
+
 def label_records(
     record_indices: np.ndarray,
     oracle: Callable[[int], bool],
@@ -122,12 +141,12 @@ def label_records(
             matches[i] = is_match
             if is_match:
                 values[i] = float(statistic(record_index))
-        return matches, values
-
-    for chunk in batch_slices(n, batch_size):
-        answers = evaluate_oracle_batch(oracle, drawn[chunk])
-        matches[chunk] = np.asarray(answers, dtype=bool)
-    matched = drawn[matches]
-    if matched.size:
-        values[matches] = statistic_batch(statistic, matched)
+    else:
+        for chunk in batch_slices(n, batch_size):
+            answers = evaluate_oracle_batch(oracle, drawn[chunk])
+            matches[chunk] = np.asarray(answers, dtype=bool)
+        matched = drawn[matches]
+        if matched.size:
+            values[matches] = statistic_batch(statistic, matched)
+    require_finite_statistic(drawn, values, matches)
     return matches, values

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.results import ConfidenceInterval
 from repro.core.types import StratumSample
-from repro.kernels import kernel_set
 from repro.stats.rng import RandomState
 
 __all__ = [
@@ -25,6 +24,23 @@ __all__ = [
     "bootstrap_aggregate_estimates",
     "bootstrap_aggregate_interval",
 ]
+
+
+def _resample_stats(
+    mask: np.ndarray, values: np.ndarray, resample_idx: np.ndarray
+) -> tuple:
+    """Per-trial positive counts and positive-value sums for one stratum.
+
+    ``mask`` is the stratum's boolean match mask, ``values`` its statistic
+    column with unmatched entries already zeroed, and ``resample_idx`` the
+    ``(num_bootstrap, n)`` resampled position matrix.  Because unmatched
+    values are zero, one gather of ``values`` gives the positive-value sums
+    directly; the counts come back as float64.  Row sums use NumPy's
+    pairwise summation.
+    """
+    positives = np.count_nonzero(mask[resample_idx], axis=1).astype(np.float64)
+    sums = values[resample_idx].sum(axis=1)
+    return positives, sums
 
 
 def _resample_strata(
@@ -44,7 +60,6 @@ def _resample_strata(
     if not samples:
         raise ValueError("bootstrap requires at least one stratum of samples")
     rng = rng or RandomState(0)
-    kernels = kernel_set()
     num_strata = len(samples)
     p_star = np.zeros((num_bootstrap, num_strata))
     mu_star = np.zeros((num_bootstrap, num_strata))
@@ -56,9 +71,7 @@ def _resample_strata(
         values = np.where(sample.matches, sample.values, 0.0)
         # (num_bootstrap, n) index matrix of resampled positions.
         resample_idx = rng.integers(0, n, size=(num_bootstrap, n))
-        positives, sums = kernels.bootstrap_resample_stats(
-            sample.matches, values, resample_idx
-        )
+        positives, sums = _resample_stats(sample.matches, values, resample_idx)
         p_star[:, k] = positives / n
         with np.errstate(invalid="ignore", divide="ignore"):
             mu_star[:, k] = np.where(positives > 0, sums / np.maximum(positives, 1), 0.0)

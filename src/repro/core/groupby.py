@@ -41,6 +41,7 @@ from repro.core.allocation import (
 )
 from repro.core.batching import (
     batch_slices,
+    require_finite_statistic,
     statistic_batch,
 )
 from repro.core.parallel import parallelize_oracle
@@ -49,9 +50,7 @@ from repro.engine.config import (
     UNSET,
     ExecutionConfig,
     resolve_execution_config,
-    resolve_kernel_set,
 )
-from repro.kernels import KernelSet, kernel_set
 from repro.oracle.base import evaluate_oracle_batch
 from repro.core.estimators import (
     combine_estimates,
@@ -189,33 +188,35 @@ def _label_group_draws(
     ``batch_size=1`` reproduces the legacy per-record oracle calls.
     """
     idx = np.asarray(record_indices, dtype=np.int64)
+    key_set = set(group_keys)
+    values = np.full(idx.shape[0], np.nan, dtype=float)
+    in_group = np.zeros(idx.shape[0], dtype=bool)
     if batch_size == 1:
         keys: List[Hashable] = []
-        values = np.full(idx.shape[0], np.nan, dtype=float)
-        key_set = set(group_keys)
         for i, record_index in enumerate(idx.tolist()):
             key = oracle(record_index)
             keys.append(key)
             if key in key_set:
+                in_group[i] = True
                 values[i] = float(statistic_fn(record_index))
-        return idx, keys, values
-    key_set = set(group_keys)
-    all_keys: List[Hashable] = []
-    values = np.full(idx.shape[0], np.nan, dtype=float)
-    for chunk in batch_slices(idx.shape[0], batch_size):
-        chunk_idx = idx[chunk]
-        chunk_keys = evaluate_oracle_batch(oracle, chunk_idx)
-        in_group = np.fromiter(
-            (k in key_set for k in chunk_keys), dtype=bool, count=len(chunk_keys)
-        )
-        if in_group.any():
-            # ``values[chunk]`` is a slice view; writing through it fills
-            # the right rows of the full column.
-            values[chunk][in_group] = statistic_batch(
-                statistic_fn, chunk_idx[in_group]
+    else:
+        keys = []
+        for chunk in batch_slices(idx.shape[0], batch_size):
+            chunk_idx = idx[chunk]
+            chunk_keys = evaluate_oracle_batch(oracle, chunk_idx)
+            chunk_in_group = np.fromiter(
+                (k in key_set for k in chunk_keys), dtype=bool, count=len(chunk_keys)
             )
-        all_keys.extend(chunk_keys)
-    return idx, all_keys, values
+            in_group[chunk] = chunk_in_group
+            if chunk_in_group.any():
+                # ``values[chunk]`` is a slice view; writing through it
+                # fills the right rows of the full column.
+                values[chunk][chunk_in_group] = statistic_batch(
+                    statistic_fn, chunk_idx[chunk_in_group]
+                )
+            keys.extend(chunk_keys)
+    require_finite_statistic(idx, values, in_group)
+    return idx, keys, values
 
 
 def _draws_to_stratum_samples(
@@ -223,26 +224,28 @@ def _draws_to_stratum_samples(
     group: Hashable,
     assignment: np.ndarray,
     num_strata: int,
-    kernels: Optional[KernelSet] = None,
 ) -> List[StratumSample]:
     """Bucket labelled draws into strata of one stratification, for one group.
 
-    One stratum-assignment gather, one memoized group membership column,
-    and the ``bucket_by_stratum`` kernel (see :mod:`repro.kernels`) —
-    draw order is preserved within each stratum, exactly as the
-    per-record append loop produced.
+    One stratum-assignment gather and one memoized group membership
+    column; draw order is preserved within each stratum, exactly as the
+    per-record append loop produced.  Values of draws outside ``group``
+    are masked to NaN.
     """
-    if kernels is None:
-        kernels = kernel_set()
     indices, _, values = log.columns()
     matched = log.membership(group)
-    buckets = kernels.bucket_by_stratum(
-        assignment, indices, matched, values, num_strata
-    )
-    return [
-        StratumSample(stratum=k, indices=idx, matches=match, values=vals)
-        for k, (idx, match, vals) in enumerate(buckets)
-    ]
+    stratum_of = assignment[indices]
+    masked_values = np.where(matched, values, np.nan)
+    samples = []
+    for k in range(num_strata):
+        in_k = stratum_of == k
+        samples.append(StratumSample(
+            stratum=k,
+            indices=indices[in_k],
+            matches=matched[in_k],
+            values=masked_values[in_k],
+        ))
+    return samples
 
 
 def _per_group_estimates(
@@ -250,14 +253,11 @@ def _per_group_estimates(
     groups: Sequence[Hashable],
     assignment: np.ndarray,
     num_strata: int,
-    kernels: Optional[KernelSet] = None,
 ) -> Dict[Hashable, List]:
     """Per-group, per-stratum plug-in estimates from labelled draws."""
     estimates: Dict[Hashable, List] = {}
     for group in groups:
-        samples = _draws_to_stratum_samples(
-            log, group, assignment, num_strata, kernels=kernels
-        )
+        samples = _draws_to_stratum_samples(log, group, assignment, num_strata)
         estimates[group] = estimate_all_strata(samples)
     return estimates
 
@@ -319,7 +319,6 @@ def run_groupby_single_oracle(
         parallel_backend=parallel_backend,
     )
     batch_size = config.batch_size
-    kernels = resolve_kernel_set(config)
     _validate_allocation_method(allocation_method)
     if not groups:
         raise ValueError("run_groupby_single_oracle requires at least one group")
@@ -363,9 +362,7 @@ def run_groupby_single_oracle(
 
     # ---- Per-stratification estimates and within-stratification allocations -----
     per_strat_estimates = [
-        _per_group_estimates(
-            log, group_keys, assignments[l], num_strata, kernels=kernels
-        )
+        _per_group_estimates(log, group_keys, assignments[l], num_strata)
         for l in range(num_groups)
     ]
     within_allocations = []
@@ -394,10 +391,8 @@ def run_groupby_single_oracle(
         stratification = stratifications[l]
         # Dataset-length membership mask instead of np.isin per stratum:
         # one O(1) gather per candidate rather than a sort per stratum.
-        fresh_per_stratum = [
-            kernels.filter_undrawn(stratification.stratum(k), drawn_mask)
-            for k in range(num_strata)
-        ]
+        strata = [stratification.stratum(k) for k in range(num_strata)]
+        fresh_per_stratum = [stratum[~drawn_mask[stratum]] for stratum in strata]
         capacities = [int(fresh.size) for fresh in fresh_per_stratum]
         counts = bounded_allocation(within_allocations[l], lam_counts[l], capacities)
         for k in range(num_strata):
@@ -416,7 +411,7 @@ def run_groupby_single_oracle(
         samples_per_l = []
         for l in range(num_groups):
             samples = _draws_to_stratum_samples(
-                log, group, assignments[l], num_strata, kernels=kernels
+                log, group, assignments[l], num_strata
             )
             estimates = estimate_all_strata(samples)
             stage_draws = [s.num_draws for s in samples]

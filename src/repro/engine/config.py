@@ -34,7 +34,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.parallel import THREAD_BACKEND, resolve_backend, resolve_num_workers
-from repro.kernels.registry import validate_kernel_hint
 from repro.stats.rng import RandomState
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "ExecutionConfigError",
     "ProgressEvent",
     "resolve_execution_config",
-    "resolve_kernel_set",
 ]
 
 
@@ -118,13 +116,6 @@ class ExecutionConfig:
         Optional callback invoked with :class:`ProgressEvent` instances as
         the pipeline advances.  Purely observational — it must not mutate
         sampler state.
-    kernel:
-        Which sampler inner-loop kernel backend to use: ``"auto"`` (the
-        default — consult ``REPRO_KERNEL``, then pick numba when
-        importable, numpy otherwise), ``"numpy"`` (force the reference),
-        or ``"numba"`` (force the jitted backend; errors when numba is
-        not importable).  A pure execution hint: every backend is
-        bit-identical by contract (see :mod:`repro.kernels`).
 
     All fields are validated in ``__post_init__`` through the one shared
     error path; every error is an :class:`ExecutionConfigError`.
@@ -136,7 +127,6 @@ class ExecutionConfig:
     plan_cache: bool = True
     seed: Optional[int] = None
     progress: Optional[Callable[[ProgressEvent], None]] = None
-    kernel: str = "auto"
 
     def __post_init__(self):
         messages = list(self._validation_errors())
@@ -181,10 +171,6 @@ class ExecutionConfig:
             object.__setattr__(self, "seed", int(self.seed))
         if self.progress is not None and not callable(self.progress):
             yield f"progress must be callable or None, got {self.progress!r}"
-        try:
-            validate_kernel_hint(self.kernel)
-        except ValueError as exc:
-            yield str(exc)
 
     # -- Derived helpers -----------------------------------------------------------
     def merged(self, **overrides) -> "ExecutionConfig":
@@ -221,23 +207,6 @@ class ExecutionConfig:
             self.progress(event)
 
 
-def resolve_kernel_set(config: ExecutionConfig):
-    """The :class:`~repro.kernels.KernelSet` for ``config.kernel``.
-
-    Shared by every engine entry point so kernel-resolution failures — a
-    forced ``kernel="numba"`` where numba is not importable, or a bad
-    ``REPRO_KERNEL`` value — surface through the one
-    :class:`ExecutionConfigError` path instead of a raw ``ValueError``
-    from inside the dispatch layer.
-    """
-    from repro.kernels import kernel_set
-
-    try:
-        return kernel_set(config.kernel)
-    except ValueError as exc:
-        raise ExecutionConfigError(str(exc)) from exc
-
-
 _LEGACY_KNOBS = ("batch_size", "num_workers", "parallel_backend", "plan_cache")
 
 
@@ -252,7 +221,6 @@ def resolve_execution_config(
     num_workers=UNSET,
     parallel_backend=UNSET,
     plan_cache=UNSET,
-    kernel=UNSET,
 ) -> ExecutionConfig:
     """Merge deprecated per-knob kwargs into an :class:`ExecutionConfig`.
 
@@ -296,10 +264,4 @@ def resolve_execution_config(
             stacklevel=stacklevel,
         )
     base = config if config is not None else (default or ExecutionConfig())
-    merged = base.merged(**overrides)
-    if kernel is not UNSET:
-        # ``kernel=`` is a modern hint, not a legacy knob: it merges
-        # silently (no DeprecationWarning) but validates through the same
-        # shared ExecutionConfigError path as every other field.
-        merged = merged.merged(kernel=kernel)
-    return merged
+    return base.merged(**overrides)

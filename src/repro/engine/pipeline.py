@@ -48,8 +48,7 @@ from repro.core.parallel import parallelize_oracle
 from repro.core.results import ConfidenceInterval, EstimateResult
 from repro.core.stratification import Stratification
 from repro.core.types import StratumSample
-from repro.engine.config import ExecutionConfig, ProgressEvent, resolve_kernel_set
-from repro.kernels import KernelSet, kernel_set
+from repro.engine.config import ExecutionConfig, ProgressEvent
 from repro.stats.rng import RandomState
 from repro.stats.sampling import sample_without_replacement
 
@@ -188,52 +187,24 @@ class StratumPool:
     into the sorted stratum.  Candidate order is the stratum's ascending
     record order — deterministic by construction, and identical to the
     dataset-length drawn-mask gathers the monolithic samplers used.
-
-    Both operations dispatch through a :class:`~repro.kernels.KernelSet`
-    (``kernels=None`` resolves the default backend, honouring
-    ``REPRO_KERNEL``); backend choice never changes which records are
-    candidates or the order they appear in.
     """
 
-    __slots__ = ("_strata", "_available", "remaining", "_kernels")
+    __slots__ = ("_strata", "_available", "remaining")
 
-    def __init__(
-        self,
-        strata: Sequence[np.ndarray],
-        kernels: Optional[KernelSet] = None,
-    ):
+    def __init__(self, strata: Sequence[np.ndarray]):
         self._strata = [np.asarray(s, dtype=np.int64) for s in strata]
         self._available = [np.ones(s.size, dtype=bool) for s in self._strata]
         self.remaining = np.array([s.size for s in self._strata], dtype=np.int64)
-        self._kernels = kernels if kernels is not None else kernel_set()
 
     @classmethod
-    def from_stratification(
-        cls,
-        stratification: Stratification,
-        kernels: Optional[KernelSet] = None,
-    ) -> "StratumPool":
+    def from_stratification(cls, stratification: Stratification) -> "StratumPool":
         return cls(
-            [stratification.stratum(k) for k in range(stratification.num_strata)],
-            kernels=kernels,
+            [stratification.stratum(k) for k in range(stratification.num_strata)]
         )
 
     @property
     def num_strata(self) -> int:
         return len(self._strata)
-
-    @property
-    def kernels(self) -> KernelSet:
-        """The kernel set this pool dispatches through (policies reuse it)."""
-        return self._kernels
-
-    def rebind_kernels(self, kernels: KernelSet) -> None:
-        """Swap the dispatch table (used when restoring a checkpoint).
-
-        Safe at any point in a run: backends are bit-identical by
-        contract, so rebinding never changes candidates or draw order.
-        """
-        self._kernels = kernels
 
     def stratum(self, k: int) -> np.ndarray:
         """The full (sorted) index view of stratum ``k``."""
@@ -241,39 +212,35 @@ class StratumPool:
 
     def candidates(self, k: int) -> np.ndarray:
         """Record indices of stratum ``k`` not yet drawn (ascending order)."""
-        return self._kernels.gather_candidates(self._strata[k], self._available[k])
+        return self._strata[k][self._available[k]]
 
     def mark_drawn(self, k: int, indices: np.ndarray) -> None:
         if len(indices) == 0:
             return
         drawn = np.asarray(indices, dtype=np.int64)
-        count = self._kernels.mark_drawn(self._strata[k], self._available[k], drawn)
-        self.remaining[k] -= count
+        # The stratum is sorted, so each drawn record's mask position is a
+        # binary search.
+        self._available[k][np.searchsorted(self._strata[k], drawn)] = False
+        self.remaining[k] -= drawn.shape[0]
 
     # -- Pickling ------------------------------------------------------------------
-    # Pools are pickled inside session checkpoints.  A KernelSet holds
-    # function objects (possibly jitted dispatchers), so checkpoints store
-    # only the backend *name* and re-resolve on restore — falling back to
-    # the default backend when the saved one is unavailable in the
-    # restoring process (safe: backends are bit-identical by contract).
+    # Pools are pickled inside session checkpoints.  Restore accepts every
+    # form a released checkpoint carries: this dict, the 1.6-1.8 dict that
+    # also named a kernel backend (ignored), and the pre-1.6 ``__slots__``
+    # tuple.
     def __getstate__(self):
         return {
             "_strata": self._strata,
             "_available": self._available,
             "remaining": self.remaining,
-            "_kernel_backend": self._kernels.backend,
         }
 
     def __setstate__(self, state):
-        if isinstance(state, tuple):  # pre-kernel __slots__ pickle format
+        if isinstance(state, tuple):  # pre-1.6 __slots__ pickle format
             state = {**(state[0] or {}), **(state[1] or {})}
         self._strata = state["_strata"]
         self._available = state["_available"]
         self.remaining = state["remaining"]
-        try:
-            self._kernels = kernel_set(state.get("_kernel_backend"))
-        except ValueError:
-            self._kernels = kernel_set("numpy")
 
 
 class PipelineState:
@@ -496,7 +463,6 @@ class SamplingPipeline:
                 "provide exactly one of stratification= or strata="
             )
         self.config = config or ExecutionConfig()
-        self.kernels = resolve_kernel_set(self.config)
         self.oracle = parallelize_oracle(
             oracle, self.config.num_workers, self.config.parallel_backend
         )
@@ -516,11 +482,9 @@ class SamplingPipeline:
     # -- Session construction ------------------------------------------------------
     def _make_state(self, rng: Optional[RandomState]) -> PipelineState:
         if self.stratification is not None:
-            pool = StratumPool.from_stratification(
-                self.stratification, kernels=self.kernels
-            )
+            pool = StratumPool.from_stratification(self.stratification)
         else:
-            pool = StratumPool(self._strata, kernels=self.kernels)
+            pool = StratumPool(self._strata)
         state = PipelineState(
             pool=pool,
             rng=self.config.make_rng(rng),

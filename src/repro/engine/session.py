@@ -371,11 +371,6 @@ class SamplingSession:
         state.round_index = saved["round_index"]
         state.details = saved["details"]
         state.ci = saved["ci"]
-        # The restoring pipeline's config decides the kernel backend; the
-        # backend recorded in the checkpoint was only a fallback for
-        # unpickling (backends are bit-identical, so this never changes
-        # the resumed draw sequence).
-        state.pool.rebind_kernels(pipeline.kernels)
         pipeline.policy = payload["policy"]
         pipeline.estimator = payload["estimator"]
         session = cls(pipeline, state)

@@ -1,44 +1,16 @@
-"""repro.kernels — registered sampler inner-loop kernels with dispatch.
+"""repro.kernels — a compatibility stub that names the array backend.
 
-The engine's per-draw hot loops (stratum pool gathers and mask updates,
-the sequential policy's reallocation priority, group-by bucketing,
-allocation integerization, bootstrap resampling, minimax objectives)
-live here as named kernels with a pure-NumPy reference implementation
-and, when numba is importable, jitted native bodies for the bit-exact
-subset.  Resolve a :class:`KernelSet` once and call kernels
-attribute-style:
-
-    from repro.kernels import kernel_set
-    kernels = kernel_set("auto")        # or "numpy" / "numba"
-    fresh = kernels.gather_candidates(stratum, available)
-
-Backend choice never changes results — see docs/PERFORMANCE.md for the
-dispatch rules and the bit-identity contract.
+perfbench's worker (``perfbench/worker.py``) reads ``kernel_set().backend``
+into every run's environment fingerprint.  The sampler inner loops are
+plain NumPy next to their callers, so the backend is always ``"numpy"``.
+This module goes with the next benchmark change (ROADMAP item 5).
 """
 
-from repro.kernels.registry import (
-    KERNEL_BACKENDS,
-    KERNEL_ENV_VAR,
-    KernelSet,
-    kernel_set,
-    numba_available,
-    register_kernel,
-    registered_kernels,
-    resolve_backend_name,
-    validate_kernel_hint,
-)
+__all__ = ["kernel_set"]
 
-# Importing the reference module registers every kernel's NumPy body.
-from repro.kernels import reference  # noqa: F401  (registration side effect)
 
-__all__ = [
-    "KERNEL_BACKENDS",
-    "KERNEL_ENV_VAR",
-    "KernelSet",
-    "kernel_set",
-    "numba_available",
-    "register_kernel",
-    "registered_kernels",
-    "resolve_backend_name",
-    "validate_kernel_hint",
-]
+def kernel_set():
+    """The array backend every sampler inner loop runs on."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(backend="numpy")

@@ -88,11 +88,6 @@ class QueryPlan:
     def plan_cache(self) -> bool:
         return self.config.plan_cache
 
-    @property
-    def kernel(self) -> str:
-        """The plan's sampler-kernel backend hint (see :mod:`repro.kernels`)."""
-        return self.config.kernel
-
 
 def plan_query(
     query: Query,
@@ -101,7 +96,6 @@ def plan_query(
     plan_cache=UNSET,
     config: Optional[ExecutionConfig] = None,
     backend: Optional[DatasetBackend] = None,
-    kernel=UNSET,
 ) -> QueryPlan:
     """Build a :class:`QueryPlan` for a parsed query.
 
@@ -111,10 +105,7 @@ def plan_query(
     as deprecated aliases.  ``backend`` is the plan's dataset-backend
     hint: the storage the executor resolves string column references
     against (see :mod:`repro.data`), validated here exactly like
-    ``plan_cache``.  ``kernel`` is the plan's sampler-kernel backend hint
-    (``"auto"`` / ``"numpy"`` / ``"numba"``, see :mod:`repro.kernels`) —
-    a modern hint, so passing it does not warn like the legacy knobs but
-    validates identically.  Validation happens at planning time — through the
+    ``plan_cache``.  Validation happens at planning time — through the
     config's one shared error path — so a bad knob raises a clear
     :class:`~repro.query.errors.PlanningError` (a ``QueryError``) instead
     of surfacing as a ``ValueError`` from deep inside the execution
@@ -128,7 +119,6 @@ def plan_query(
             batch_size=batch_size,
             num_workers=num_workers,
             plan_cache=plan_cache,
-            kernel=kernel,
         )
     except ExecutionConfigError as exc:
         raise PlanningError(str(exc)) from None

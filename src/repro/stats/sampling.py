@@ -92,14 +92,20 @@ def proportional_integer_allocation(
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
         return []
+    if not np.all(np.isfinite(w)):
+        raise ValueError("allocation weights must be finite")
     if np.any(w < 0):
         raise ValueError("allocation weights must be non-negative")
     if np.all(w == 0):
         # Degenerate case: nothing informative, spread evenly.
         w = np.ones_like(w)
-    # The rounding core is a registered kernel (reference-only on every
-    # backend: equal-remainder argsort tie order is part of the bitwise
-    # contract); validation above stays the caller's job.
-    from repro.kernels import kernel_set
-
-    return kernel_set().largest_remainder(w, int(total)).tolist()
+    total = int(total)
+    raw = (w / w.sum()) * total
+    base = np.floor(raw).astype(np.int64)
+    leftover = total - int(base.sum())
+    if leftover > 0:
+        # Equal remainders keep default-kind argsort's tie order.
+        order = np.argsort(-(raw - base))
+        for idx in order[:leftover]:
+            base[idx] += 1
+    return base.tolist()

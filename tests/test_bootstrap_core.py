@@ -2,7 +2,7 @@
 
 Two groups:
 
-* **Kernel parity** — ``bootstrap_resample_stats`` counts positives on the
+* **Resample parity** — ``_resample_stats`` counts positives on the
   bool mask and sums one gather of the zeroed values.  It must reproduce,
   byte for byte, the earlier two-gather formula frozen below: gather the
   0/1 float mask and the values, multiply, row-sum both.
@@ -19,18 +19,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.bootstrap as bootstrap_module
-from repro.kernels import kernel_set
 from repro.query.executor import QueryContext, execute_query
 from repro.serve import AQPService
 from repro.synth import make_dataset, make_multipred_scenario
 
 # ---------------------------------------------------------------------------
-# Kernel parity against the frozen two-gather formula
+# Resample parity against the frozen two-gather formula
 # ---------------------------------------------------------------------------
 
 
 def two_gather_reference(matches, values, resample_idx):
-    """The resample kernel as it was: two gathers, a multiply, two row sums."""
+    """The resample step as it was: two gathers, a multiply, two row sums."""
     resampled_matches = matches[resample_idx]
     resampled_values = values[resample_idx]
     positives = resampled_matches.sum(axis=1)
@@ -54,7 +53,7 @@ def resample_case(draw):
     else:
         mask = np.full(n, mask_kind == "all-true")
     # Raw values may be non-finite anywhere; unmatched ones are zeroed by
-    # the caller before the kernel sees them.
+    # the caller before the resample step sees them.
     raw = np.asarray(draw(st.lists(any_float, min_size=n, max_size=n)), dtype=float)
     num_bootstrap = draw(st.sampled_from([1, 2, 7, 64, 257]))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -72,7 +71,7 @@ class TestResampleKernelParity:
             want_pos, want_sums = two_gather_reference(
                 mask.astype(float), values, resample_idx
             )
-            got_pos, got_sums = kernel_set().bootstrap_resample_stats(
+            got_pos, got_sums = bootstrap_module._resample_stats(
                 mask, values, resample_idx
             )
         assert got_pos.dtype == want_pos.dtype == np.float64
@@ -86,7 +85,7 @@ class TestResampleKernelParity:
         values = np.array([value])
         resample_idx = np.zeros((num_bootstrap, 1), dtype=np.int64)
         want = two_gather_reference(mask.astype(float), values, resample_idx)
-        got = kernel_set().bootstrap_resample_stats(mask, values, resample_idx)
+        got = bootstrap_module._resample_stats(mask, values, resample_idx)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
@@ -98,25 +97,22 @@ class TestResampleKernelParity:
 NUM_STRATA = 5
 
 
-class _CountingKernels:
-    """A kernel set that counts resample passes and delegates the rest."""
+class _CountingResample:
+    """Wraps the resample step and counts its passes."""
 
     def __init__(self, inner):
         self.inner = inner
         self.passes = 0
 
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def bootstrap_resample_stats(self, *args):
+    def __call__(self, *args):
         self.passes += 1
-        return self.inner.bootstrap_resample_stats(*args)
+        return self.inner(*args)
 
 
 @pytest.fixture()
 def passes(monkeypatch):
-    counting = _CountingKernels(kernel_set())
-    monkeypatch.setattr(bootstrap_module, "kernel_set", lambda: counting)
+    counting = _CountingResample(bootstrap_module._resample_stats)
+    monkeypatch.setattr(bootstrap_module, "_resample_stats", counting)
     return counting
 
 

@@ -1,208 +1,178 @@
-"""Tests for the repro.kernels dispatch layer.
+"""Tests for the sampler inner loops: frozen-reference parity and edge cases.
 
-Covers the registry and backend resolution, the ``kernel=`` execution
-hint's error contracts (config / planner / pipeline), hypothesis property
-tests for the parity edge cases (zero draws, exhausted strata,
-single-record strata, empty groups), checkpoint roundtrips of the pool's
-backend binding, and — when numba is importable — a numpy-vs-numba
-fingerprint-equality grid over the samplers.
+The per-draw inner loops live next to their only callers: the stratum
+pool's gathers and mask updates (:class:`~repro.engine.pipeline.StratumPool`),
+the sequential priority and per-round spread (:mod:`repro.engine.policies`),
+group-by bucketing and the fresh-candidate filter (:mod:`repro.core.groupby`),
+largest-remainder rounding
+(:func:`~repro.stats.sampling.proportional_integer_allocation`) and the two
+minimax objectives (:mod:`repro.core.allocation`).  The bootstrap's resample
+step has its own parity suite in ``test_bootstrap_core.py``.
+
+Three groups:
+
+* **Frozen-reference parity** — each loop is compared byte for byte
+  (``tobytes()``) against the pre-refactor loop frozen below, on
+  derandomized inputs.
+* **Edge cases** — zero draws, exhausted and single-record strata, empty
+  groups, conservation of batch and total.
+* **Pool pickling** — fresh checkpoints carry no backend name; every form
+  a released checkpoint carries (the 1.6-1.8 dict naming a backend, the
+  pre-1.6 ``__slots__`` tuple) still restores and resumes bit-identically.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
-import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.abae import run_abae
-from repro.engine.config import (
-    ExecutionConfig,
-    ExecutionConfigError,
-    resolve_execution_config,
-    resolve_kernel_set,
+import repro.kernels
+import repro.optim.simplex as simplex_module
+from repro.core.allocation import (
+    solve_minimax_multi_oracle,
+    solve_minimax_single_oracle,
 )
-from repro.engine.pipeline import StratumPool
-from repro.engine.policies import marginal_variance_reduction
+from repro.core.estimators import estimate_all_strata
+from repro.core.groupby import _draws_to_stratum_samples, _DrawLog
 from repro.core.types import StratumSample
-from repro.kernels import (
-    KERNEL_BACKENDS,
-    KERNEL_ENV_VAR,
-    KernelSet,
-    kernel_set,
-    numba_available,
-    registered_kernels,
-    resolve_backend_name,
-    validate_kernel_hint,
-)
-from repro.kernels.registry import register_kernel
-from repro.oracle.simulated import LabelColumnOracle
-from repro.query.errors import PlanningError
-from repro.query.parser import parse_query
-from repro.query.planner import plan_query
+from repro.engine import sequential_pipeline, two_stage_pipeline
+from repro.engine.config import ExecutionConfig
+from repro.engine.pipeline import StratumPool
+from repro.engine.policies import _floor_spread, marginal_variance_reduction
 from repro.stats.rng import RandomState
+from repro.stats.sampling import proportional_integer_allocation
+from repro.synth import make_dataset
 
 from harness import estimate_fingerprint
 
-QUERY = (
-    "SELECT AVG(x) FROM t WHERE p(x) ORACLE LIMIT 100 "
-    "USING proxy WITH PROBABILITY 0.95"
-)
+_EPS = 1e-12
+PARITY = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 # ---------------------------------------------------------------------------
-# Registry and backend resolution
+# Frozen references: the loops as they were before the refactor, verbatim
 # ---------------------------------------------------------------------------
 
 
-class TestRegistry:
-    def test_every_kernel_has_a_numpy_reference(self):
-        registry = registered_kernels()
-        assert registry, "kernel registry must not be empty"
-        for name, impls in registry.items():
-            assert "numpy" in impls, f"kernel {name!r} lacks a reference"
-
-    def test_kernel_set_exposes_every_registered_kernel(self):
-        ks = kernel_set("numpy")
-        for name in registered_kernels():
-            assert name in ks
-            assert callable(ks[name])
-            assert getattr(ks, name) is ks[name]
-        assert ks.names() == sorted(registered_kernels())
-
-    def test_numpy_set_has_no_native_kernels(self):
-        assert kernel_set("numpy").native_kernels == frozenset()
-
-    def test_kernel_sets_cached_per_backend(self):
-        assert kernel_set("numpy") is kernel_set("numpy")
-
-    def test_float_reduction_kernels_stay_reference_everywhere(self):
-        # The bitwise contract: kernels whose reference semantics involve
-        # float reductions never get a native body on any backend.
-        ks = kernel_set()
-        for name in (
-            "largest_remainder",
-            "bootstrap_resample_stats",
-            "minimax_single_objective",
-            "minimax_multi_objective",
-        ):
-            assert name not in ks.native_kernels
-            assert ks[name] is kernel_set("numpy")[name]
-
-    def test_register_rejects_abstract_backend(self):
-        with pytest.raises(ValueError, match="concrete backend"):
-            register_kernel("anything", backend="auto")
+def legacy_pool_rounds(strata, plan):
+    """Inline gather + searchsorted mark over a fixed draw schedule."""
+    available = [np.ones(s.size, dtype=bool) for s in strata]
+    remaining = np.array([s.size for s in strata], dtype=np.int64)
+    for round_plan in plan:
+        for k, take in round_plan:
+            candidates = strata[k][available[k]]
+            if candidates.size == 0:
+                continue
+            drawn = candidates[:: max(1, candidates.size // max(take, 1))][:take]
+            if len(drawn) == 0:
+                continue
+            positions = np.searchsorted(strata[k], drawn)
+            available[k][positions] = False
+            remaining[k] -= len(drawn)
+    return available, remaining
 
 
-class TestResolution:
-    def test_backends_tuple(self):
-        assert KERNEL_BACKENDS == ("auto", "numpy", "numba")
-
-    @pytest.mark.parametrize("hint", KERNEL_BACKENDS)
-    def test_validate_accepts_every_backend(self, hint):
-        validate_kernel_hint(hint)
-
-    @pytest.mark.parametrize("bad", ["cuda", "", "NUMPY", 3, None])
-    def test_validate_rejects_unknown_names_listing_allowed(self, bad):
-        with pytest.raises(ValueError) as excinfo:
-            validate_kernel_hint(bad)
-        message = str(excinfo.value)
-        assert "'auto', 'numpy', 'numba'" in message
-        assert repr(bad) in message
-
-    def test_none_and_auto_resolve_to_a_concrete_backend(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_backend_name(None) == expected
-        assert resolve_backend_name("auto") == expected
-
-    def test_env_var_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        assert resolve_backend_name("auto") == "numpy"
-        assert kernel_set().backend == "numpy"
-
-    def test_env_var_rejected_with_source_in_message(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "cuda")
-        with pytest.raises(ValueError, match=KERNEL_ENV_VAR):
-            resolve_backend_name("auto")
-
-    def test_explicit_hint_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "cuda")  # never consulted
-        assert resolve_backend_name("numpy") == "numpy"
-
-    @pytest.mark.skipif(numba_available(), reason="numba is importable here")
-    def test_forced_numba_without_numba_is_a_hard_error(self):
-        with pytest.raises(ValueError, match="not[ \n]+importable"):
-            resolve_backend_name("numba")
+def legacy_priority(samples):
+    """marginal_variance_reduction over estimate objects and ufuncs."""
+    estimates = estimate_all_strata(samples)
+    p = np.array([e.p_hat for e in estimates])
+    sigma = np.array([e.sigma_hat for e in estimates])
+    mu = np.array([e.mu_hat for e in estimates])
+    draws = np.array([s.num_draws for s in samples], dtype=float)
+    p_all = p.sum()
+    if p_all == 0:
+        return np.ones(len(samples))
+    w = p / p_all
+    mu_all = float(np.dot(w, mu))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        within = np.where(p > 0, w**2 * sigma**2 / np.maximum(p, 1e-12), 0.0)
+        weight_uncertainty = ((mu - mu_all) / p_all) ** 2 * p * (1.0 - p)
+        contribution = (within + weight_uncertainty) / np.maximum(draws, 1.0)
+        priority = contribution / np.maximum(draws + 1.0, 1.0)
+    unexplored = draws == 0
+    if unexplored.any():
+        bonus = float(priority[~unexplored].max()) if (~unexplored).any() else 1.0
+        priority[unexplored] = max(bonus, 1e-12)
+    return priority
 
 
-# ---------------------------------------------------------------------------
-# The kernel= execution hint: config, planner, pipeline error contracts
-# ---------------------------------------------------------------------------
+def legacy_bucket(assignment, indices, matched, values, num_strata):
+    """Group-by bucketing: one boolean mask per stratum."""
+    stratum_of = assignment[indices]
+    masked_values = np.where(matched, values, np.nan)
+    out = []
+    for k in range(num_strata):
+        in_k = stratum_of == k
+        out.append((indices[in_k], matched[in_k], masked_values[in_k]))
+    return out
 
 
-class TestKernelHint:
-    def test_default_is_auto(self):
-        assert ExecutionConfig().kernel == "auto"
-        assert plan_query(parse_query(QUERY)).kernel == "auto"
+def legacy_minimax_single_objective(error_terms, informative, lam, n2):
+    """Eq. 10's objective as the nested Python loop."""
+    num_groups = error_terms.shape[0]
+    worst = 0.0
+    for g in informative:
+        inverse_sum = 0.0
+        for l in range(num_groups):
+            term = error_terms[l, g]
+            if not np.isfinite(term) or term <= 0:
+                continue
+            variance = term / max(lam[l] * n2, _EPS)
+            inverse_sum += 1.0 / variance
+        combined = 1.0 / inverse_sum if inverse_sum > 0 else float("inf")
+        worst = max(worst, combined)
+    return worst
 
-    def test_config_rejects_unknown_kernel_listing_allowed(self):
-        with pytest.raises(ExecutionConfigError) as excinfo:
-            ExecutionConfig(kernel="cuda")
-        assert "'auto', 'numpy', 'numba'" in str(excinfo.value)
 
-    def test_resolve_execution_config_merges_kernel(self):
-        config = resolve_execution_config(None, "test", kernel="numpy")
-        assert config.kernel == "numpy"
+def legacy_minimax_multi_objective(error_terms, informative, lam, n2):
+    """Eq. 11's objective: the worst per-group isolated variance."""
+    terms = error_terms[informative]
+    if terms.size == 0:
+        return 0.0
+    variance = terms / np.maximum(lam[informative] * n2, _EPS)
+    return float(variance.max())
 
-    def test_kernel_is_a_modern_hint_no_deprecation_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            plan = plan_query(parse_query(QUERY), kernel="numpy")
-        assert plan.kernel == "numpy"
-        assert plan.config.kernel == "numpy"
 
-    def test_planner_rejects_unknown_kernel_as_planning_error(self):
-        with pytest.raises(PlanningError) as excinfo:
-            plan_query(parse_query(QUERY), kernel="cuda")
-        assert "'auto', 'numpy', 'numba'" in str(excinfo.value)
+def legacy_floor_spread(weights, batch):
+    """Sequential spread: floor counts, shortfall at the argmax."""
+    counts = np.floor(weights * batch).astype(int)
+    counts[int(np.argmax(weights))] += batch - int(counts.sum())
+    return counts
 
-    def test_planner_accepts_numba_name_even_without_numba(self):
-        # Name validation happens at plan time; backend *resolution* is
-        # deferred to pipeline construction (the plan may execute on a
-        # worker that does have numba).
-        assert plan_query(parse_query(QUERY), kernel="numba").kernel == "numba"
 
-    def test_resolve_kernel_set_honours_the_hint(self):
-        assert resolve_kernel_set(ExecutionConfig(kernel="numpy")).backend == "numpy"
+def legacy_largest_remainder(weights, total):
+    """proportional_integer_allocation's rounding core."""
+    w = weights / weights.sum()
+    raw = w * total
+    base = np.floor(raw).astype(int)
+    leftover = total - int(base.sum())
+    if leftover > 0:
+        remainders = raw - base
+        order = np.argsort(-remainders)
+        for idx in order[:leftover]:
+            base[idx] += 1
+    return base
 
-    @pytest.mark.skipif(numba_available(), reason="numba is importable here")
-    def test_forced_numba_without_numba_fails_at_pipeline_construction(self):
-        config = ExecutionConfig(kernel="numba")  # name-valid, constructs fine
-        with pytest.raises(ExecutionConfigError, match="numba"):
-            resolve_kernel_set(config)
-        labels = np.arange(100) % 3 == 0
-        with pytest.raises(ExecutionConfigError, match="numba"):
-            run_abae(
-                np.linspace(0, 1, 100),
-                LabelColumnOracle(labels),
-                np.ones(100),
-                budget=20,
-                num_strata=2,
-                rng=RandomState(0),
-                config=config,
-            )
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+def _draw_log(indices, matched, values, group="g"):
+    """A group-by draw log whose membership column for ``group`` is ``matched``."""
+    log = _DrawLog()
+    log.append(indices, [group if m else "other" for m in matched], values)
+    return log
 
 
 # ---------------------------------------------------------------------------
-# Parity property tests: edge cases of the ported loops
+# Input strategies
 # ---------------------------------------------------------------------------
-
-
-def _pool_from_strata(strata, backend):
-    return StratumPool(strata, kernels=kernel_set(backend))
 
 
 @st.composite
@@ -223,49 +193,23 @@ def stratum_and_draws(draw):
     return stratum, stratum[np.asarray(sorted(picks), dtype=np.int64)]
 
 
-class TestPoolParity:
-    @settings(max_examples=60, deadline=None)
-    @given(stratum_and_draws())
-    def test_gather_and_mark_match_direct_mask_ops(self, case):
-        stratum, drawn = case
-        pool = _pool_from_strata([stratum], "numpy")
-        pool.mark_drawn(0, drawn)
-        mask = np.ones(stratum.size, dtype=bool)
-        mask[np.searchsorted(stratum, drawn)] = False
-        np.testing.assert_array_equal(pool.candidates(0), stratum[mask])
-        assert pool.remaining[0] == stratum.size - drawn.size
-
-    def test_zero_draws_is_a_noop(self):
-        stratum = np.array([3, 7, 11], dtype=np.int64)
-        pool = _pool_from_strata([stratum], "numpy")
-        pool.mark_drawn(0, np.empty(0, dtype=np.int64))
-        np.testing.assert_array_equal(pool.candidates(0), stratum)
-        assert pool.remaining[0] == 3
-
-    def test_exhausting_a_stratum(self):
-        stratum = np.array([2, 5, 9], dtype=np.int64)
-        pool = _pool_from_strata([stratum], "numpy")
-        pool.mark_drawn(0, stratum)  # count == capacity
-        assert pool.candidates(0).size == 0
-        assert pool.remaining[0] == 0
-
-    def test_single_record_stratum(self):
-        pool = _pool_from_strata([np.array([42], dtype=np.int64)], "numpy")
-        np.testing.assert_array_equal(pool.candidates(0), [42])
-        pool.mark_drawn(0, np.array([42], dtype=np.int64))
-        assert pool.candidates(0).size == 0
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not importable")
-    @settings(max_examples=60, deadline=None)
-    @given(stratum_and_draws())
-    def test_numba_pool_matches_numpy_pool(self, case):
-        stratum, drawn = case
-        ref = _pool_from_strata([stratum], "numpy")
-        nat = _pool_from_strata([stratum], "numba")
-        for pool in (ref, nat):
-            pool.mark_drawn(0, drawn)
-        np.testing.assert_array_equal(ref.candidates(0), nat.candidates(0))
-        assert ref.remaining[0] == nat.remaining[0]
+@st.composite
+def pool_schedule(draw):
+    """Disjoint sorted strata plus a multi-round draw schedule."""
+    num_strata = draw(st.integers(min_value=1, max_value=8))
+    records = draw(st.integers(min_value=num_strata, max_value=400))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    assignment = rng.integers(0, num_strata, size=records)
+    strata = [
+        np.flatnonzero(assignment == k).astype(np.int64) for k in range(num_strata)
+    ]
+    rounds = draw(st.integers(min_value=1, max_value=12))
+    plan = [
+        [(k, int(rng.integers(0, 24))) for k in range(num_strata)]
+        for _ in range(rounds)
+    ]
+    return strata, plan
 
 
 @st.composite
@@ -303,56 +247,6 @@ def bucket_case(draw):
     return assignment, indices, matched, values, num_strata
 
 
-def _triples_equal(got, expected):
-    assert len(got) == len(expected)
-    for (gi, gm, gv), (ei, em, ev) in zip(got, expected):
-        np.testing.assert_array_equal(gi, ei)
-        np.testing.assert_array_equal(gm, em)
-        np.testing.assert_array_equal(
-            gv.view(np.uint64) if gv.size else gv,
-            ev.view(np.uint64) if ev.size else ev,
-        )  # bitwise: NaN masks must match exactly
-
-
-class TestBucketParity:
-    @settings(max_examples=60, deadline=None)
-    @given(bucket_case())
-    def test_bucketing_matches_boolean_mask_reference(self, case):
-        assignment, indices, matched, values, num_strata = case
-        got = kernel_set("numpy").bucket_by_stratum(
-            assignment, indices, matched, values, num_strata
-        )
-        stratum_of = assignment[indices]
-        masked = np.where(matched, values, np.nan)
-        expected = [
-            (indices[stratum_of == k], matched[stratum_of == k], masked[stratum_of == k])
-            for k in range(num_strata)
-        ]
-        _triples_equal(got, expected)
-
-    def test_empty_draw_log_yields_empty_strata(self):
-        got = kernel_set("numpy").bucket_by_stratum(
-            np.zeros(5, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=bool),
-            np.empty(0, dtype=float),
-            3,
-        )
-        assert len(got) == 3
-        for gi, gm, gv in got:
-            assert gi.size == gm.size == gv.size == 0
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not importable")
-    @settings(max_examples=60, deadline=None)
-    @given(bucket_case())
-    def test_numba_bucketing_matches_reference(self, case):
-        ref = kernel_set("numpy").bucket_by_stratum(*case)
-        nat = kernel_set("numba").bucket_by_stratum(*case)
-        _triples_equal(nat, ref)
-        for _, matches, _ in nat:
-            assert matches.dtype == np.bool_
-
-
 @st.composite
 def weight_vector(draw):
     k = draw(st.integers(min_value=1, max_value=10))
@@ -365,33 +259,16 @@ def weight_vector(draw):
     return w / w.sum()
 
 
-class TestIntegerSpreads:
-    @settings(max_examples=80, deadline=None)
-    @given(weight_vector(), st.integers(min_value=0, max_value=500))
-    def test_floor_spread_conserves_the_batch(self, weights, batch):
-        counts = kernel_set("numpy").floor_spread(weights, batch)
-        assert counts.sum() == batch
-        # only the argmax stratum is topped up; floors never exceed weight share
-        floors = np.floor(weights * batch).astype(np.int64)
-        extra = counts - floors
-        assert extra.min() >= 0
-        assert np.flatnonzero(extra).tolist() in ([], [int(np.argmax(weights))])
-
-    @settings(max_examples=80, deadline=None)
-    @given(weight_vector(), st.integers(min_value=0, max_value=500))
-    def test_largest_remainder_conserves_the_total(self, weights, total):
-        counts = kernel_set("numpy").largest_remainder(weights, total)
-        assert counts.sum() == total
-        assert counts.min() >= 0
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not importable")
-    @settings(max_examples=80, deadline=None)
-    @given(weight_vector(), st.integers(min_value=0, max_value=500))
-    def test_numba_floor_spread_matches_reference(self, weights, batch):
-        ref = kernel_set("numpy").floor_spread(weights, batch)
-        nat = kernel_set("numba").floor_spread(weights, batch)
-        np.testing.assert_array_equal(ref, nat)
-        assert nat.dtype == ref.dtype
+@st.composite
+def raw_weights(draw):
+    """Unnormalized positive weights, often with ties (equal remainders)."""
+    k = draw(st.integers(min_value=1, max_value=10))
+    pool = draw(
+        st.lists(st.floats(1e-6, 10.0, allow_nan=False), min_size=1, max_size=3)
+    )
+    return np.asarray(
+        draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)), dtype=float
+    )
 
 
 @st.composite
@@ -422,125 +299,401 @@ def sample_list(draw):
     return samples
 
 
+@st.composite
+def minimax_case(draw):
+    """An S-term matrix with inf and zero cells, plus simplex points."""
+    num_groups = draw(st.integers(min_value=1, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    error_terms = rng.random((num_groups, num_groups)) * 5.0
+    error_terms[rng.random((num_groups, num_groups)) < 0.15] = np.inf
+    error_terms[rng.random((num_groups, num_groups)) < 0.1] = 0.0
+    lams = [rng.dirichlet(np.ones(num_groups)) for _ in range(8)]
+    # A vertex of the simplex drives some lam_l * n2 below eps.
+    lams.append(np.eye(num_groups)[0])
+    n2 = draw(st.sampled_from([1, 37, 1_000]))
+    return error_terms, lams, n2
+
+
+def _captured_objective(monkeypatch, solve, *args):
+    """The objective ``solve`` hands the simplex solver (``None`` if it skips it).
+
+    The solver itself is stubbed out; ``test_minimax_solves`` runs it.
+    """
+    captured = {}
+
+    def capture(objective, dim, *rest, **kwargs):
+        captured["objective"] = objective
+        return SimpleNamespace(x=np.full(dim, 1.0 / dim))
+
+    monkeypatch.setattr(simplex_module, "minimize_on_simplex", capture)
+    solve(*args)
+    return captured.get("objective")
+
+
+# ---------------------------------------------------------------------------
+# Frozen-reference parity
+# ---------------------------------------------------------------------------
+
+
+class TestFrozenReferenceParity:
+    @PARITY
+    @given(pool_schedule())
+    def test_pool_rounds(self, case):
+        strata, plan = case
+        want_available, want_remaining = legacy_pool_rounds(strata, plan)
+        pool = StratumPool(strata)
+        for round_plan in plan:
+            for k, take in round_plan:
+                candidates = pool.candidates(k)
+                if candidates.size == 0:
+                    continue
+                drawn = candidates[:: max(1, candidates.size // max(take, 1))][:take]
+                pool.mark_drawn(k, drawn)
+        state = pool.__getstate__()
+        for k in range(len(strata)):
+            assert _bits(state["_available"][k]) == _bits(want_available[k])
+            assert _bits(pool.candidates(k)) == _bits(strata[k][want_available[k]])
+        assert _bits(pool.remaining) == _bits(want_remaining)
+
+    @PARITY
+    @given(sample_list())
+    def test_priority(self, samples):
+        assert _bits(marginal_variance_reduction(samples)) == _bits(
+            legacy_priority(samples)
+        )
+
+    @PARITY
+    @given(bucket_case())
+    def test_bucket(self, case):
+        assignment, indices, matched, values, num_strata = case
+        got = _draws_to_stratum_samples(
+            _draw_log(indices, matched, values), "g", assignment, num_strata
+        )
+        want = legacy_bucket(assignment, indices, matched, values, num_strata)
+        assert len(got) == num_strata
+        for k, (sample, (w_idx, w_match, w_vals)) in enumerate(zip(got, want)):
+            assert sample.stratum == k
+            assert _bits(sample.indices) == _bits(w_idx)
+            assert _bits(sample.matches) == _bits(w_match)
+            assert _bits(sample.values) == _bits(w_vals)  # NaN masks too
+
+    @PARITY
+    @given(weight_vector(), st.integers(min_value=0, max_value=500))
+    def test_floor_spread(self, weights, batch):
+        got = _floor_spread(weights, batch)
+        assert got.dtype == np.int64
+        assert _bits(got) == _bits(legacy_floor_spread(weights, batch).astype(np.int64))
+
+    @PARITY
+    @given(raw_weights(), st.integers(min_value=0, max_value=500))
+    def test_largest_remainder(self, weights, total):
+        got = np.asarray(proportional_integer_allocation(weights, total), dtype=np.int64)
+        want = legacy_largest_remainder(weights, total).astype(np.int64)
+        assert _bits(got) == _bits(want)
+
+    @PARITY
+    @given(minimax_case())
+    def test_minimax_single_objective(self, case):
+        error_terms, lams, n2 = case
+        usable = np.isfinite(error_terms) & (error_terms > 0)
+        informative = [g for g in range(error_terms.shape[0]) if usable[:, g].any()]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            objective = _captured_objective(
+                monkeypatch, solve_minimax_single_oracle, error_terms, n2
+            )
+        if not informative:
+            assert objective is None  # uniform fallback, no solve
+            return
+        for lam in lams:
+            assert _bits(objective(lam)) == _bits(
+                legacy_minimax_single_objective(error_terms, informative, lam, n2)
+            )
+
+    @PARITY
+    @given(minimax_case())
+    def test_minimax_multi_objective(self, case):
+        error_terms, lams, n2 = case
+        terms = error_terms[0]
+        informative = np.isfinite(terms) & (terms > 0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            objective = _captured_objective(
+                monkeypatch, solve_minimax_multi_oracle, terms, n2
+            )
+        if not informative.any():
+            assert objective is None
+            return
+        for lam in lams:
+            assert _bits(objective(lam)) == _bits(
+                legacy_minimax_multi_objective(terms, informative, lam, n2)
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_minimax_solves(self, seed):
+        # Each whole solve equals one driven by the frozen objective.
+        rng = np.random.default_rng(seed)
+        num_groups, n2 = 4, 1_000
+        error_terms = rng.random((num_groups, num_groups)) * 5.0
+        error_terms[0, 1] = np.inf
+        error_terms[2, 3] = 0.0
+        usable = np.isfinite(error_terms) & (error_terms > 0)
+        informative = [g for g in range(num_groups) if usable[:, g].any()]
+        frozen = simplex_module.minimize_on_simplex(
+            lambda lam: legacy_minimax_single_objective(
+                error_terms, informative, lam, n2
+            ),
+            num_groups,
+        )
+        got = solve_minimax_single_oracle(error_terms, n2)
+        assert _bits(got) == _bits(frozen.x)
+
+        terms = error_terms[0]
+        mask = np.isfinite(terms) & (terms > 0)
+        frozen = simplex_module.minimize_on_simplex(
+            lambda lam: legacy_minimax_multi_objective(terms, mask, lam, n2),
+            num_groups,
+        )
+        got = solve_minimax_multi_oracle(terms, n2)
+        assert _bits(got) == _bits(frozen.x)
+
+
+# ---------------------------------------------------------------------------
+# Edge cases
+# ---------------------------------------------------------------------------
+
+
+class TestPoolParity:
+    @settings(max_examples=60, deadline=None)
+    @given(stratum_and_draws())
+    def test_gather_and_mark_match_direct_mask_ops(self, case):
+        stratum, drawn = case
+        pool = StratumPool([stratum])
+        pool.mark_drawn(0, drawn)
+        mask = np.ones(stratum.size, dtype=bool)
+        mask[np.searchsorted(stratum, drawn)] = False
+        np.testing.assert_array_equal(pool.candidates(0), stratum[mask])
+        assert pool.remaining[0] == stratum.size - drawn.size
+
+    def test_zero_draws_is_a_noop(self):
+        stratum = np.array([3, 7, 11], dtype=np.int64)
+        pool = StratumPool([stratum])
+        pool.mark_drawn(0, np.empty(0, dtype=np.int64))
+        np.testing.assert_array_equal(pool.candidates(0), stratum)
+        assert pool.remaining[0] == 3
+
+    def test_exhausting_a_stratum(self):
+        stratum = np.array([2, 5, 9], dtype=np.int64)
+        pool = StratumPool([stratum])
+        pool.mark_drawn(0, stratum)  # count == capacity
+        assert pool.candidates(0).size == 0
+        assert pool.remaining[0] == 0
+
+    def test_single_record_stratum(self):
+        pool = StratumPool([np.array([42], dtype=np.int64)])
+        np.testing.assert_array_equal(pool.candidates(0), [42])
+        pool.mark_drawn(0, np.array([42], dtype=np.int64))
+        assert pool.candidates(0).size == 0
+
+
+class TestBucketParity:
+    @settings(max_examples=60, deadline=None)
+    @given(bucket_case())
+    def test_bucketing_matches_boolean_mask_reference(self, case):
+        assignment, indices, matched, values, num_strata = case
+        samples = _draws_to_stratum_samples(
+            _draw_log(indices, matched, values), "g", assignment, num_strata
+        )
+        stratum_of = assignment[indices]
+        for k, sample in enumerate(samples):
+            in_k = stratum_of == k
+            np.testing.assert_array_equal(sample.indices, indices[in_k])
+            np.testing.assert_array_equal(sample.matches, matched[in_k])
+            # Draws outside the group carry NaN, never their raw value.
+            assert np.isnan(sample.values[~sample.matches]).all()
+            np.testing.assert_array_equal(
+                sample.values[sample.matches], values[in_k][matched[in_k]]
+            )
+
+    def test_empty_draw_log_yields_empty_strata(self):
+        samples = _draws_to_stratum_samples(
+            _DrawLog(), "g", np.zeros(5, dtype=np.int64), 3
+        )
+        assert len(samples) == 3
+        for sample in samples:
+            assert sample.indices.size == sample.matches.size == sample.values.size == 0
+
+    def test_group_with_no_members_has_no_matches(self):
+        indices = np.arange(6, dtype=np.int64)
+        samples = _draws_to_stratum_samples(
+            _draw_log(indices, np.zeros(6, dtype=bool), np.ones(6)),
+            "g",
+            indices % 2,
+            2,
+        )
+        assert [s.num_draws for s in samples] == [3, 3]
+        assert not any(s.matches.any() for s in samples)
+        assert all(np.isnan(s.values).all() for s in samples)
+
+
+class TestIntegerSpreads:
+    @settings(max_examples=80, deadline=None)
+    @given(weight_vector(), st.integers(min_value=0, max_value=500))
+    def test_floor_spread_conserves_the_batch(self, weights, batch):
+        counts = _floor_spread(weights, batch)
+        assert counts.sum() == batch
+        # only the argmax stratum is topped up; floors never exceed weight share
+        floors = np.floor(weights * batch).astype(np.int64)
+        extra = counts - floors
+        assert extra.min() >= 0
+        assert np.flatnonzero(extra).tolist() in ([], [int(np.argmax(weights))])
+
+    @settings(max_examples=80, deadline=None)
+    @given(weight_vector(), st.integers(min_value=0, max_value=500))
+    def test_largest_remainder_conserves_the_total(self, weights, total):
+        counts = proportional_integer_allocation(weights, total)
+        assert sum(counts) == total
+        assert min(counts) >= 0
+
+
 class TestPriorityParity:
     @settings(max_examples=60, deadline=None)
     @given(sample_list())
-    def test_priority_is_finite_nonnegative_and_backend_stable(self, samples):
-        ref = marginal_variance_reduction(samples, kernels=kernel_set("numpy"))
-        assert ref.shape == (len(samples),)
-        assert np.all(np.isfinite(ref))
-        assert np.all(ref >= 0)
-        if numba_available():
-            nat = marginal_variance_reduction(
-                samples, kernels=kernel_set("numba")
-            )
-            np.testing.assert_array_equal(
-                ref.view(np.uint64), nat.view(np.uint64)
-            )  # bitwise
+    def test_priority_is_finite_and_nonnegative(self, samples):
+        priority = marginal_variance_reduction(samples)
+        assert priority.shape == (len(samples),)
+        assert np.all(np.isfinite(priority))
+        assert np.all(priority >= 0)
 
     def test_all_empty_strata_explore_uniformly(self):
         samples = [StratumSample(stratum=k) for k in range(4)]
         np.testing.assert_array_equal(
-            marginal_variance_reduction(samples, kernels=kernel_set("numpy")),
-            np.ones(4),
+            marginal_variance_reduction(samples), np.ones(4)
         )
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: the pool's backend binding survives a roundtrip
+# Pool pickling and checkpoint back-compat
 # ---------------------------------------------------------------------------
 
 
+def _pool_state(size=6):
+    return {
+        "_strata": [np.arange(size, dtype=np.int64)],
+        "_available": [np.ones(size, dtype=bool)],
+        "remaining": np.array([size], dtype=np.int64),
+    }
+
+
 class TestPoolPickling:
-    def test_roundtrip_preserves_masks_and_backend(self):
-        stratum = np.arange(10, dtype=np.int64)
-        pool = _pool_from_strata([stratum], "numpy")
+    def test_roundtrip_preserves_masks(self):
+        pool = StratumPool([np.arange(10, dtype=np.int64)])
         pool.mark_drawn(0, np.array([2, 5], dtype=np.int64))
         clone = pickle.loads(pickle.dumps(pool))
         np.testing.assert_array_equal(clone.candidates(0), pool.candidates(0))
         np.testing.assert_array_equal(clone.remaining, pool.remaining)
-        assert clone.kernels.backend == "numpy"
 
-    def test_pickle_payload_stores_backend_name_not_functions(self):
-        pool = _pool_from_strata([np.arange(4, dtype=np.int64)], "numpy")
-        state = pool.__getstate__()
-        assert state["_kernel_backend"] == "numpy"
-        assert not any(callable(v) for v in state.values())
+    def test_pickle_payload_stores_no_backend_name(self):
+        state = StratumPool([np.arange(4, dtype=np.int64)]).__getstate__()
+        assert set(state) == {"_strata", "_available", "remaining"}
 
     def test_legacy_tuple_state_restores(self):
-        # Pre-kernel checkpoints pickled __slots__ as a (dict, slots) tuple
-        # with no backend name; restoring resolves the default backend.
-        stratum = np.arange(6, dtype=np.int64)
-        legacy_state = (
-            None,
-            {
-                "_strata": [stratum],
-                "_available": [np.ones(6, dtype=bool)],
-                "remaining": np.array([6], dtype=np.int64),
-            },
-        )
+        # Pre-1.6 checkpoints pickled __slots__ as a (dict, slots) tuple.
         pool = StratumPool.__new__(StratumPool)
-        pool.__setstate__(legacy_state)
-        np.testing.assert_array_equal(pool.candidates(0), stratum)
-        assert pool.kernels.backend in ("numpy", "numba")
+        pool.__setstate__((None, _pool_state()))
+        np.testing.assert_array_equal(pool.candidates(0), np.arange(6))
+        pool.mark_drawn(0, np.array([1], dtype=np.int64))
+        assert pool.remaining[0] == 5
+
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    def test_saved_backend_name_is_ignored(self, backend):
+        # 1.6-1.8 checkpoints named the pool's kernel backend.
+        pool = StratumPool.__new__(StratumPool)
+        pool.__setstate__({**_pool_state(), "_kernel_backend": backend})
+        np.testing.assert_array_equal(pool.candidates(0), np.arange(6))
+        assert "_kernel_backend" not in pool.__getstate__()
 
     def test_unknown_saved_backend_falls_back_to_reference(self):
         pool = StratumPool.__new__(StratumPool)
-        pool.__setstate__(
-            {
-                "_strata": [np.arange(3, dtype=np.int64)],
-                "_available": [np.ones(3, dtype=bool)],
-                "remaining": np.array([3], dtype=np.int64),
-                "_kernel_backend": "cuda",
-            }
-        )
-        assert pool.kernels.backend == "numpy"
-
-    def test_rebind_kernels_swaps_the_dispatch_table(self):
-        pool = _pool_from_strata([np.arange(3, dtype=np.int64)], "numpy")
-        replacement = kernel_set("numpy")
-        pool.rebind_kernels(replacement)
-        assert pool.kernels is replacement
+        pool.__setstate__({**_pool_state(3), "_kernel_backend": "cuda"})
+        np.testing.assert_array_equal(pool.candidates(0), np.arange(3))
+        assert pool.remaining[0] == 3
 
 
-# ---------------------------------------------------------------------------
-# numpy-vs-numba end-to-end fingerprint equality (the layer's contract)
-# ---------------------------------------------------------------------------
+def _legacy_getstate(form, backend):
+    """A ``StratumPool.__getstate__`` that writes a released checkpoint form."""
+
+    def getstate(self):
+        state = {
+            "_strata": self._strata,
+            "_available": self._available,
+            "remaining": self.remaining,
+        }
+        if form == "tuple":
+            return (None, state)
+        return {**state, "_kernel_backend": backend}
+
+    return getstate
 
 
-@pytest.mark.skipif(not numba_available(), reason="numba not importable")
-class TestBackendFingerprintEquality:
-    @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("batch_size", [None, 32])
-    def test_abae_identical_across_backends(self, seed, batch_size):
-        rng = np.random.default_rng(123)
-        size = 4_000
-        labels = rng.random(size) < 0.2
-        proxy = np.clip(labels * 0.5 + rng.random(size) * 0.5, 0.0, 1.0)
-        statistic = rng.random(size)
-        fingerprints = {}
-        for backend in ("numpy", "numba"):
-            result = run_abae(
-                proxy,
-                LabelColumnOracle(labels),
-                statistic,
-                budget=800,
-                num_strata=4,
-                with_ci=True,
-                rng=RandomState(seed),
-                config=ExecutionConfig(kernel=backend, batch_size=batch_size),
+def _drive(session):
+    while session.step():
+        pass
+    return session.result()
+
+
+class TestLegacyCheckpointResume:
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return make_dataset("synthetic", seed=1, size=3_000)
+
+    @pytest.mark.parametrize(
+        "form, backend",
+        [("dict", "numpy"), ("dict", "numba"), ("dict", "cuda"), ("tuple", None)],
+    )
+    @pytest.mark.parametrize("builder", ["two_stage", "sequential"])
+    def test_resume_is_bit_identical(
+        self, scenario, monkeypatch, form, backend, builder
+    ):
+        def pipeline():
+            if builder == "two_stage":
+                return two_stage_pipeline(
+                    proxy=scenario.proxy, oracle=scenario.make_oracle(),
+                    statistic=scenario.statistic_values, budget=500,
+                    with_ci=True, num_bootstrap=30,
+                )
+            return sequential_pipeline(
+                proxy=scenario.proxy, oracle=scenario.make_oracle(),
+                statistic=scenario.statistic_values, budget=500,
+                warmup_per_stratum=10, reallocation_batch=40,
+                with_ci=True, num_bootstrap=30,
             )
-            fingerprints[backend] = estimate_fingerprint(result)
-        assert fingerprints["numpy"] == fingerprints["numba"], (
-            f"backend fingerprints diverged at seed={seed}, "
-            f"batch_size={batch_size}"
-        )
 
-    def test_kernel_sets_disagree_only_on_native_kernels(self):
-        ref, nat = kernel_set("numpy"), kernel_set("numba")
-        assert ref.names() == nat.names()
-        for name in ref.names():
-            if name in nat.native_kernels:
-                assert nat[name] is not ref[name]
-            else:
-                assert nat[name] is ref[name]
+        reference = _drive(pipeline().session(RandomState(4)))
+        interrupted = pipeline().session(RandomState(4))
+        for _ in range(4):
+            interrupted.step()
+        with monkeypatch.context() as patch:
+            patch.setattr(StratumPool, "__getstate__", _legacy_getstate(form, backend))
+            blob = interrupted.checkpoint()
+        if form == "dict":
+            assert b"_kernel_backend" in blob
+        resumed = pipeline().resume(blob)
+        assert estimate_fingerprint(_drive(resumed)) == estimate_fingerprint(reference)
+
+
+# ---------------------------------------------------------------------------
+# The removed knob stays removed
+# ---------------------------------------------------------------------------
+
+
+class TestNoKernelKnob:
+    def test_execution_config_has_six_fields(self):
+        names = [f.name for f in dataclasses.fields(ExecutionConfig)]
+        assert names == [
+            "batch_size", "num_workers", "parallel_backend",
+            "plan_cache", "seed", "progress",
+        ]
+
+    def test_kernels_module_names_only_the_numpy_backend(self):
+        assert repro.kernels.__all__ == ["kernel_set"]
+        assert repro.kernels.kernel_set().backend == "numpy"
