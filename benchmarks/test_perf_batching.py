@@ -14,6 +14,7 @@ import time
 from bench_results import write_json_result, write_result
 
 from repro.core.abae import ABae
+from repro.engine.config import ExecutionConfig
 from repro.stats.rng import RandomState
 from repro.synth import make_dataset
 
@@ -36,13 +37,14 @@ def _best_time(sampler: ABae, budget: int, seed: int):
 def test_perf_batching(results_dir):
     scenario = make_dataset("synthetic", seed=0, size=SIZE)
     sequential = ABae(
-        scenario.proxy, scenario.make_oracle(), scenario.statistic_values, batch_size=1
+        scenario.proxy, scenario.make_oracle(), scenario.statistic_values,
+        config=ExecutionConfig(batch_size=1),
     )
     batched = ABae(
         scenario.proxy,
         scenario.make_oracle(),
         scenario.statistic_values,
-        batch_size=None,
+        config=ExecutionConfig(batch_size=None),
     )
 
     t_seq, r_seq = _best_time(sequential, BUDGET, seed=1)

@@ -15,6 +15,7 @@ import time
 from bench_results import write_json_result, write_result
 
 from repro.core.abae import run_abae
+from repro.engine.config import ExecutionConfig
 from repro.oracle.simulated import LatencyOracle
 from repro.stats.rng import RandomState
 from repro.synth import make_dataset
@@ -34,8 +35,7 @@ def _run(scenario, oracle, num_workers):
         scenario.statistic_values,
         budget=BUDGET,
         rng=RandomState(1),
-        batch_size=None,
-        num_workers=num_workers,
+        config=ExecutionConfig(batch_size=None, num_workers=num_workers),
     )
 
 

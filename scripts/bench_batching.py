@@ -23,6 +23,7 @@ import argparse
 import time
 
 from repro.core.abae import ABae
+from repro.engine.config import ExecutionConfig
 from repro.stats.rng import RandomState
 from repro.synth import make_dataset
 
@@ -55,10 +56,12 @@ def main() -> int:
 
     scenario = make_dataset(args.dataset, seed=0, size=args.size)
     sequential = ABae(
-        scenario.proxy, scenario.make_oracle(), scenario.statistic_values, batch_size=1
+        scenario.proxy, scenario.make_oracle(), scenario.statistic_values,
+        config=ExecutionConfig(batch_size=1),
     )
     batched = ABae(
-        scenario.proxy, scenario.make_oracle(), scenario.statistic_values, batch_size=None
+        scenario.proxy, scenario.make_oracle(), scenario.statistic_values,
+        config=ExecutionConfig(batch_size=None),
     )
 
     print(f"dataset={args.dataset} size={args.size} repeats={args.repeats}")

@@ -5,7 +5,7 @@ Models the figure-grid workload — repeated fixed-seed ABae runs over a
 (budget x seed) sweep on the celeba-synth dataset — in two configurations:
 
 * **legacy**: the pre-PR hot path, reconstructed faithfully — per-record
-  ``OracleCallRecord`` list appends in ``_record`` (the reference
+  ``LegacyCallRecord`` list appends in ``_record`` (the reference
   implementation shipped before the columnar rewrite) and the
   stratification rebuilt from scratch every run (plan-level caches
   bypassed via ``stratification_cache_disabled``);

@@ -34,6 +34,7 @@ import sys
 import time
 
 from repro.core.abae import run_abae
+from repro.engine.config import ExecutionConfig
 from repro.oracle.simulated import LatencyOracle
 from repro.stats.rng import RandomState
 from repro.synth import make_dataset
@@ -59,8 +60,7 @@ def run_once(scenario, oracle, budget, seed, num_workers):
         with_ci=True,
         num_bootstrap=100,
         rng=RandomState(seed),
-        batch_size=None,
-        num_workers=num_workers,
+        config=ExecutionConfig(batch_size=None, num_workers=num_workers),
     )
 
 

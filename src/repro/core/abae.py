@@ -20,9 +20,8 @@ the extensions.  Both are thin wrappers over the unified execution engine
 :class:`~repro.engine.policies.TwoStageAllocationPolicy` /
 :class:`~repro.engine.policies.TwoStageEstimator` pair plugged into the
 shared :class:`~repro.engine.pipeline.SamplingPipeline`.  Execution knobs
-travel in an :class:`~repro.engine.config.ExecutionConfig`; the historical
-``batch_size`` / ``num_workers`` / ``parallel_backend`` kwargs keep
-working as deprecated aliases.  For streaming or resumable execution, use
+travel in an :class:`~repro.engine.config.ExecutionConfig` passed as
+``config=``.  For streaming or resumable execution, use
 :func:`repro.engine.two_stage_pipeline` and drive the session directly.
 """
 
@@ -36,11 +35,7 @@ from repro.core.allocation import bounded_allocation
 from repro.core.results import EstimateResult
 from repro.core.stratification import Stratification
 from repro.engine.builders import two_stage_pipeline
-from repro.engine.config import (
-    UNSET,
-    ExecutionConfig,
-    resolve_execution_config,
-)
+from repro.engine.config import ExecutionConfig, resolve_execution_config
 from repro.engine.pipeline import (
     StatisticLike,
     _ArrayStatistic,
@@ -57,10 +52,6 @@ __all__ = ["ABae", "run_abae", "draw_stratum_sample", "bounded_allocation"]
 _normalize_statistic = normalize_statistic
 _ArrayStatistic = _ArrayStatistic  # noqa: PLW0127 - re-exported name
 
-# Sentinel distinguishing "argument omitted" from an explicit None (which
-# legitimately means "whole-draw batches") in ABae.estimate.
-_UNSET = UNSET
-
 
 def run_abae(
     proxy: Union[Proxy, Sequence[float]],
@@ -75,9 +66,6 @@ def run_abae(
     alpha: float = 0.05,
     num_bootstrap: int = 1000,
     rng: Optional[RandomState] = None,
-    batch_size=UNSET,
-    num_workers=UNSET,
-    parallel_backend=UNSET,
     config: Optional[ExecutionConfig] = None,
 ) -> EstimateResult:
     """Execute Algorithm 1 once and return the estimate (optionally with a CI).
@@ -113,18 +101,7 @@ def run_abae(
         The :class:`~repro.engine.config.ExecutionConfig` with every
         physical execution knob.  Purely performance: results and oracle
         accounting are bit-identical for every setting.
-    batch_size / num_workers / parallel_backend:
-        Deprecated aliases for the corresponding ``config`` fields; kept
-        working with a :class:`DeprecationWarning`.
     """
-    config = resolve_execution_config(
-        config,
-        "run_abae",
-        stacklevel=3,
-        batch_size=batch_size,
-        num_workers=num_workers,
-        parallel_backend=parallel_backend,
-    )
     pipeline = two_stage_pipeline(
         proxy=proxy,
         oracle=oracle,
@@ -153,8 +130,7 @@ class ABae:
         result = sampler.estimate(budget=10_000, with_ci=True)
 
     Execution knobs live in ``self.config`` (an
-    :class:`~repro.engine.config.ExecutionConfig`); the historical
-    per-knob constructor arguments remain as deprecated aliases.
+    :class:`~repro.engine.config.ExecutionConfig`).
     """
 
     def __init__(
@@ -165,9 +141,6 @@ class ABae:
         num_strata: int = 5,
         stage1_fraction: float = 0.5,
         reuse_samples: bool = True,
-        batch_size=UNSET,
-        num_workers=UNSET,
-        parallel_backend=UNSET,
         config: Optional[ExecutionConfig] = None,
     ):
         if num_strata <= 0:
@@ -176,16 +149,7 @@ class ABae:
             raise ValueError(
                 f"stage1_fraction must be strictly between 0 and 1, got {stage1_fraction}"
             )
-        # Eager shared-path validation of every execution knob (the config
-        # constructor raises ExecutionConfigError, a ValueError).
-        self.config = resolve_execution_config(
-            config,
-            "ABae",
-            stacklevel=3,
-            batch_size=batch_size,
-            num_workers=num_workers,
-            parallel_backend=parallel_backend,
-        )
+        self.config = resolve_execution_config(config, "ABae")
         self.proxy = proxy
         self.oracle = oracle
         self.statistic = statistic
@@ -201,19 +165,6 @@ class ABae:
         self._stratification: Optional[Stratification] = None
         self._stratification_key = None
 
-    # Legacy read access: the knobs now live on the config.
-    @property
-    def batch_size(self):
-        return self.config.batch_size
-
-    @property
-    def num_workers(self):
-        return self.config.num_workers
-
-    @property
-    def parallel_backend(self):
-        return self.config.parallel_backend
-
     def estimate(
         self,
         budget: int,
@@ -222,28 +173,17 @@ class ABae:
         num_bootstrap: int = 1000,
         rng: Optional[RandomState] = None,
         seed: Optional[int] = None,
-        batch_size=UNSET,
-        num_workers=UNSET,
         config: Optional[ExecutionConfig] = None,
     ) -> EstimateResult:
         """Run the two-stage sampler with the configured parameters.
 
         ``config`` replaces the instance-level execution config for this
-        run when given.  The deprecated ``batch_size`` / ``num_workers``
-        aliases override the corresponding field for this run (including
-        an explicit ``None``, which means whole-draw batches / serial
-        execution respectively).
+        run when given.  ``rng`` wins over ``seed``; with neither, the run
+        is seeded by the config's ``seed`` exactly as :func:`run_abae` is.
         """
-        if rng is None:
+        if rng is None and seed is not None:
             rng = RandomState(seed)
-        run_config = resolve_execution_config(
-            config,
-            "ABae.estimate",
-            stacklevel=3,
-            default=self.config,
-            batch_size=batch_size,
-            num_workers=num_workers,
-        )
+        run_config = self.config if config is None else config
         cache_valid = (
             self._stratification is not None
             and self._stratification_key is not None
@@ -293,11 +233,9 @@ class ABae:
         the same random stream.  See
         :class:`~repro.engine.session.SamplingSession`.
         """
-        if rng is None:
+        if rng is None and seed is not None:
             rng = RandomState(seed)
-        run_config = resolve_execution_config(
-            config, "ABae.session", default=self.config
-        )
+        run_config = self.config if config is None else config
         pipeline = two_stage_pipeline(
             proxy=self.proxy,
             oracle=self.oracle,

@@ -21,8 +21,7 @@ Both are expressed as pipelines over the unified execution engine: the
 allocation loops live in
 :class:`~repro.engine.policies.SequentialAllocationPolicy` and
 :class:`~repro.engine.policies.UntilWidthAllocationPolicy`; this module
-only keeps the validated, documented entry points (plus deprecated
-execution-knob aliases).
+only keeps the validated, documented entry points.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Callable, Optional, Sequence, Union
 from repro.core.abae import StatisticLike
 from repro.core.results import EstimateResult
 from repro.engine.builders import sequential_pipeline, until_width_pipeline
-from repro.engine.config import UNSET, ExecutionConfig, resolve_execution_config
+from repro.engine.config import ExecutionConfig
 from repro.engine.pipeline import StratumPool as _StratumPool  # noqa: F401 - compat
 from repro.engine.policies import (  # noqa: F401 - compat re-export
     marginal_variance_reduction as _marginal_variance_reduction,
@@ -55,30 +54,17 @@ def run_abae_sequential(
     alpha: float = 0.05,
     num_bootstrap: int = 1000,
     rng: Optional[RandomState] = None,
-    oracle_batch_size=UNSET,
-    num_workers=UNSET,
-    parallel_backend=UNSET,
     config: Optional[ExecutionConfig] = None,
 ) -> EstimateResult:
     """Bandit-style ABae: re-allocate after every batch instead of once.
 
     Parameters mirror :func:`repro.core.abae.run_abae`; ``warmup_per_stratum``
     plays the role of a (much smaller) Stage 1, and ``batch_size`` controls
-    how often the allocation is revisited.  Execution knobs travel in
-    ``config``; the ``oracle_batch_size`` alias maps to
-    ``config.batch_size`` (records per oracle invocation batch) and is
-    named distinctly because ``batch_size`` here already means the
-    re-allocation cadence.  Like every execution knob it never changes
-    results.
+    how often the allocation is revisited.  It is the re-allocation
+    cadence, not an execution knob: records per oracle invocation batch
+    are ``config.batch_size``, which like every execution knob never
+    changes results.
     """
-    config = resolve_execution_config(
-        config,
-        "run_abae_sequential",
-        stacklevel=3,
-        batch_size=oracle_batch_size,
-        num_workers=num_workers,
-        parallel_backend=parallel_backend,
-    )
     pipeline = sequential_pipeline(
         proxy=proxy,
         oracle=oracle,
@@ -106,9 +92,6 @@ def run_abae_until_width(
     alpha: float = 0.05,
     num_bootstrap: int = 300,
     rng: Optional[RandomState] = None,
-    oracle_batch_size=UNSET,
-    num_workers=UNSET,
-    parallel_backend=UNSET,
     config: Optional[ExecutionConfig] = None,
 ) -> EstimateResult:
     """Sample until the bootstrap CI is narrower than ``target_width``.
@@ -119,14 +102,6 @@ def run_abae_until_width(
     ``details["trace"]`` records the (budget, width) checkpoints, which is
     what a "samples needed to reach error X" comparison consumes.
     """
-    config = resolve_execution_config(
-        config,
-        "run_abae_until_width",
-        stacklevel=3,
-        batch_size=oracle_batch_size,
-        num_workers=num_workers,
-        parallel_backend=parallel_backend,
-    )
     pipeline = until_width_pipeline(
         proxy=proxy,
         oracle=oracle,

@@ -46,11 +46,7 @@ from repro.core.batching import (
 )
 from repro.core.parallel import parallelize_oracle
 from repro.engine.builders import exploit_continuation_pipeline
-from repro.engine.config import (
-    UNSET,
-    ExecutionConfig,
-    resolve_execution_config,
-)
+from repro.engine.config import ExecutionConfig, resolve_execution_config
 from repro.oracle.base import evaluate_oracle_batch
 from repro.core.estimators import (
     combine_estimates,
@@ -297,9 +293,6 @@ def run_groupby_single_oracle(
     stage1_fraction: float = 0.5,
     allocation_method: str = "minimax",
     rng: Optional[RandomState] = None,
-    batch_size=UNSET,
-    num_workers=UNSET,
-    parallel_backend=UNSET,
     config: Optional[ExecutionConfig] = None,
 ) -> GroupByResult:
     """GROUP BY estimation when one oracle call reveals the group key.
@@ -307,17 +300,9 @@ def run_groupby_single_oracle(
     ``budget`` is the total number of oracle invocations.  Returns per-group
     estimates plus the Stage-2 allocation Λ chosen for each stratification.
     ``config`` carries the execution knobs (oracle batching, worker-pool
-    sharding — see :mod:`repro.engine`); the per-knob kwargs are deprecated
-    aliases.  No knob ever changes results.
+    sharding — see :mod:`repro.engine`).  No knob ever changes results.
     """
-    config = resolve_execution_config(
-        config,
-        "run_groupby_single_oracle",
-        stacklevel=3,
-        batch_size=batch_size,
-        num_workers=num_workers,
-        parallel_backend=parallel_backend,
-    )
+    config = resolve_execution_config(config, "run_groupby_single_oracle")
     batch_size = config.batch_size
     _validate_allocation_method(allocation_method)
     if not groups:
@@ -488,9 +473,6 @@ def run_groupby_multi_oracle(
     stage1_fraction: float = 0.5,
     allocation_method: str = "minimax",
     rng: Optional[RandomState] = None,
-    batch_size=UNSET,
-    num_workers=UNSET,
-    parallel_backend=UNSET,
     config: Optional[ExecutionConfig] = None,
 ) -> GroupByResult:
     """GROUP BY estimation when each group has its own membership oracle.
@@ -498,17 +480,9 @@ def run_groupby_multi_oracle(
     ``budget`` is the *total* number of oracle invocations across all
     groups' oracles (the paper normalizes by the number of groups when
     plotting; the benchmark harness does the same).  ``config`` carries the
-    execution knobs (the per-knob kwargs are deprecated aliases); no knob
-    changes results.
+    execution knobs; no knob changes results.
     """
-    config = resolve_execution_config(
-        config,
-        "run_groupby_multi_oracle",
-        stacklevel=3,
-        batch_size=batch_size,
-        num_workers=num_workers,
-        parallel_backend=parallel_backend,
-    )
+    config = resolve_execution_config(config, "run_groupby_multi_oracle")
     _validate_allocation_method(allocation_method)
     if not groups:
         raise ValueError("run_groupby_multi_oracle requires at least one group")

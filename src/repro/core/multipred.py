@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.abae import StatisticLike
 from repro.core.results import EstimateResult
 from repro.engine.builders import multipred_pipeline
-from repro.engine.config import UNSET, ExecutionConfig, resolve_execution_config
+from repro.engine.config import ExecutionConfig
 from repro.oracle.base import Oracle
 from repro.oracle.composite import AndOracle, NotOracle, OrOracle
 from repro.proxy.base import Proxy
@@ -204,9 +204,6 @@ def run_abae_multipred(
     alpha: float = 0.05,
     num_bootstrap: int = 1000,
     rng: Optional[RandomState] = None,
-    batch_size=UNSET,
-    num_workers=UNSET,
-    parallel_backend=UNSET,
     config: Optional[ExecutionConfig] = None,
 ) -> EstimateResult:
     """Run ABae over a complex predicate expression.
@@ -217,20 +214,12 @@ def run_abae_multipred(
     ``details["constituent_oracle_calls"]`` reports the total calls made to
     the underlying per-predicate oracles, which is the cost a system paying
     per constituent DNN would incur.  Batched and sharded execution
-    (via ``config``; the per-knob kwargs are deprecated aliases) preserve
+    (via ``config``) preserve
     the sequential path's short-circuit per-constituent call counts
     exactly: the masked evaluation of :mod:`repro.oracle.composite`
     consults each child per record independently of how records are chunked
     or sharded, and constituent accounting is thread-safe.
     """
-    config = resolve_execution_config(
-        config,
-        "run_abae_multipred",
-        stacklevel=3,
-        batch_size=batch_size,
-        num_workers=num_workers,
-        parallel_backend=parallel_backend,
-    )
     pipeline = multipred_pipeline(
         expression=expression,
         statistic=statistic,

@@ -339,10 +339,6 @@ class ParallelOracle:
         return getattr(self._inner, "total_cost", 0.0)
 
     @property
-    def call_log(self):
-        return getattr(self._inner, "call_log", [])
-
-    @property
     def call_log_columns(self):
         return getattr(self._inner, "call_log_columns", None)
 

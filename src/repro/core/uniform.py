@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.abae import _UNSET, StatisticLike  # noqa: F401 - re-export
+from repro.core.abae import StatisticLike
 from repro.core.results import EstimateResult
 from repro.engine.builders import uniform_pipeline
-from repro.engine.config import UNSET, ExecutionConfig, resolve_execution_config
+from repro.engine.config import ExecutionConfig, resolve_execution_config
 from repro.stats.rng import RandomState
 
 __all__ = ["run_uniform", "UniformSampler"]
@@ -35,25 +35,14 @@ def run_uniform(
     alpha: float = 0.05,
     num_bootstrap: int = 1000,
     rng: Optional[RandomState] = None,
-    batch_size=UNSET,
-    num_workers=UNSET,
-    parallel_backend=UNSET,
     config: Optional[ExecutionConfig] = None,
 ) -> EstimateResult:
     """Estimate the aggregate by uniform sampling without replacement.
 
     ``config`` carries the execution knobs exactly as in
-    :func:`repro.core.abae.run_abae`; the per-knob kwargs are deprecated
-    aliases.  Results are identical for all settings.
+    :func:`repro.core.abae.run_abae`.  Results are identical for all
+    settings.
     """
-    config = resolve_execution_config(
-        config,
-        "run_uniform",
-        stacklevel=3,
-        batch_size=batch_size,
-        num_workers=num_workers,
-        parallel_backend=parallel_backend,
-    )
     pipeline = uniform_pipeline(
         num_records=num_records,
         oracle=oracle,
@@ -75,36 +64,14 @@ class UniformSampler:
         num_records: int,
         oracle: Callable[[int], bool],
         statistic: StatisticLike,
-        batch_size=UNSET,
-        num_workers=UNSET,
-        parallel_backend=UNSET,
         config: Optional[ExecutionConfig] = None,
     ):
         if num_records <= 0:
             raise ValueError(f"num_records must be positive, got {num_records}")
-        self.config = resolve_execution_config(
-            config,
-            "UniformSampler",
-            stacklevel=3,
-            batch_size=batch_size,
-            num_workers=num_workers,
-            parallel_backend=parallel_backend,
-        )
+        self.config = resolve_execution_config(config, "UniformSampler")
         self.num_records = num_records
         self.oracle = oracle
         self.statistic = statistic
-
-    @property
-    def batch_size(self):
-        return self.config.batch_size
-
-    @property
-    def num_workers(self):
-        return self.config.num_workers
-
-    @property
-    def parallel_backend(self):
-        return self.config.parallel_backend
 
     def estimate(
         self,
@@ -114,20 +81,12 @@ class UniformSampler:
         num_bootstrap: int = 1000,
         rng: Optional[RandomState] = None,
         seed: Optional[int] = None,
-        batch_size=UNSET,
-        num_workers=UNSET,
         config: Optional[ExecutionConfig] = None,
     ) -> EstimateResult:
-        if rng is None:
+        """Run the baseline; seeding and ``config`` work as in ``ABae.estimate``."""
+        if rng is None and seed is not None:
             rng = RandomState(seed)
-        run_config = resolve_execution_config(
-            config,
-            "UniformSampler.estimate",
-            stacklevel=3,
-            default=self.config,
-            batch_size=batch_size,
-            num_workers=num_workers,
-        )
+        run_config = self.config if config is None else config
         return run_uniform(
             num_records=self.num_records,
             oracle=self.oracle,
@@ -151,11 +110,9 @@ class UniformSampler:
         config: Optional[ExecutionConfig] = None,
     ):
         """A streaming / resumable session; bit-identical to :meth:`estimate`."""
-        if rng is None:
+        if rng is None and seed is not None:
             rng = RandomState(seed)
-        run_config = resolve_execution_config(
-            config, "UniformSampler.session", default=self.config
-        )
+        run_config = self.config if config is None else config
         pipeline = uniform_pipeline(
             num_records=self.num_records,
             oracle=self.oracle,

@@ -17,7 +17,6 @@ to thread by hand now travels inside an :class:`ExecutionConfig`.
 """
 
 from repro.engine.config import (
-    UNSET,
     ExecutionConfig,
     ExecutionConfigError,
     ProgressEvent,
@@ -55,7 +54,6 @@ from repro.engine.builders import (
 from repro.engine.session import CheckpointError, SamplingSession
 
 __all__ = [
-    "UNSET",
     "ExecutionConfig",
     "ExecutionConfigError",
     "ProgressEvent",

@@ -14,9 +14,10 @@ four-knob threading into one validated value object:
 * the knobs remain *pure execution hints*: estimates, confidence
   intervals and oracle call counts are bit-identical for every setting
   (the contract pinned by ``tests/harness.py``);
-* the legacy per-function kwargs keep working as **deprecated aliases**
-  via :func:`resolve_execution_config`, which folds them into a config and
-  warns loudly.
+* ``config=`` is the only way to set a knob: the per-function
+  ``batch_size`` / ``num_workers`` / ``parallel_backend`` / ``plan_cache``
+  kwargs were removed in 1.10, and :func:`resolve_execution_config` only
+  rejects a ``config`` that is not an :class:`ExecutionConfig`.
 
 The config also owns the two cross-cutting execution policies the old
 signatures could not express: the ``seed`` fallback used when a caller
@@ -26,8 +27,6 @@ invokes as sampling advances (see :class:`ProgressEvent`).
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,32 +36,11 @@ from repro.core.parallel import THREAD_BACKEND, resolve_backend, resolve_num_wor
 from repro.stats.rng import RandomState
 
 __all__ = [
-    "UNSET",
     "ExecutionConfig",
     "ExecutionConfigError",
     "ProgressEvent",
     "resolve_execution_config",
 ]
-
-
-class _Unset:
-    """Sentinel distinguishing "argument omitted" from an explicit ``None``."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<UNSET>"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNSET = _Unset()
 
 
 class ExecutionConfigError(ValueError):
@@ -173,24 +151,6 @@ class ExecutionConfig:
             yield f"progress must be callable or None, got {self.progress!r}"
 
     # -- Derived helpers -----------------------------------------------------------
-    def merged(self, **overrides) -> "ExecutionConfig":
-        """A copy with the given fields replaced (``UNSET`` values ignored).
-
-        An explicit ``None`` override is honoured — it legitimately means
-        "whole-draw batches" / "serial execution" for the two knobs where
-        ``None`` is a value, matching the facades' historical override
-        semantics.
-        """
-        effective = {k: v for k, v in overrides.items() if v is not UNSET}
-        unknown = set(effective) - {f.name for f in dataclasses.fields(self)}
-        if unknown:
-            raise ExecutionConfigError(
-                f"unknown execution knobs: {sorted(unknown)}"
-            )
-        if not effective:
-            return self
-        return dataclasses.replace(self, **effective)
-
     def make_rng(self, rng: Optional[RandomState] = None) -> RandomState:
         """The run's random state: explicit ``rng`` wins, else ``seed``.
 
@@ -207,61 +167,19 @@ class ExecutionConfig:
             self.progress(event)
 
 
-_LEGACY_KNOBS = ("batch_size", "num_workers", "parallel_backend", "plan_cache")
-
-
 def resolve_execution_config(
-    config: Optional[ExecutionConfig] = None,
-    caller: str = "this function",
-    *,
-    default: Optional[ExecutionConfig] = None,
-    warn_legacy: bool = True,
-    stacklevel: int = 2,
-    batch_size=UNSET,
-    num_workers=UNSET,
-    parallel_backend=UNSET,
-    plan_cache=UNSET,
+    config: Optional[ExecutionConfig] = None, caller: str = "this function"
 ) -> ExecutionConfig:
-    """Merge deprecated per-knob kwargs into an :class:`ExecutionConfig`.
+    """The config a run executes with: ``config``, or the defaults for ``None``.
 
-    This is the single compatibility shim behind every ``run_*`` function,
-    both facades and the query layer: callers that still pass the legacy
-    ``batch_size`` / ``num_workers`` / ``parallel_backend`` / ``plan_cache``
-    kwargs get a :class:`DeprecationWarning` naming the knobs (so the old
-    style keeps working *loudly*), and the values are folded into the
-    config — overriding the corresponding field when a config was also
-    given.  ``default`` supplies the base config when the caller passed
-    none (used by the facades, whose instance-level config is the base for
-    per-call overrides).
-
-    ``stacklevel`` controls which frame the warning is attributed to, so
-    the user sees *their own* line, never a frame inside this module.
-    The default (2) is correct when user code calls this function
-    directly; the engine's wrappers (``run_*``, the facades, the query
-    layer) pass 3 because they add one frame between the user and the
-    warning.
+    The one check on a caller-supplied ``config``: anything other than an
+    :class:`ExecutionConfig` or ``None`` raises
+    :class:`ExecutionConfigError` naming ``caller``.
     """
-    if config is not None and not isinstance(config, ExecutionConfig):
+    if config is None:
+        return ExecutionConfig()
+    if not isinstance(config, ExecutionConfig):
         raise ExecutionConfigError(
-            f"config must be an ExecutionConfig or None, got {config!r}"
+            f"{caller}: config must be an ExecutionConfig or None, got {config!r}"
         )
-    overrides = {
-        name: value
-        for name, value in (
-            ("batch_size", batch_size),
-            ("num_workers", num_workers),
-            ("parallel_backend", parallel_backend),
-            ("plan_cache", plan_cache),
-        )
-        if value is not UNSET
-    }
-    if overrides and warn_legacy:
-        knobs = ", ".join(sorted(overrides))
-        warnings.warn(
-            f"passing {knobs} directly to {caller} is deprecated; pass "
-            f"them via config=ExecutionConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    base = config if config is not None else (default or ExecutionConfig())
-    return base.merged(**overrides)
+    return config

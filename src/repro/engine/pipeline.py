@@ -48,7 +48,11 @@ from repro.core.parallel import parallelize_oracle
 from repro.core.results import ConfidenceInterval, EstimateResult
 from repro.core.stratification import Stratification
 from repro.core.types import StratumSample
-from repro.engine.config import ExecutionConfig, ProgressEvent
+from repro.engine.config import (
+    ExecutionConfig,
+    ProgressEvent,
+    resolve_execution_config,
+)
 from repro.stats.rng import RandomState
 from repro.stats.sampling import sample_without_replacement
 
@@ -462,7 +466,7 @@ class SamplingPipeline:
             raise ValueError(
                 "provide exactly one of stratification= or strata="
             )
-        self.config = config or ExecutionConfig()
+        self.config = resolve_execution_config(config, "SamplingPipeline")
         self.oracle = parallelize_oracle(
             oracle, self.config.num_workers, self.config.parallel_backend
         )

@@ -31,7 +31,6 @@ result (and, for group-by queries, a group key).  This package provides:
 from repro.oracle.base import (
     ColumnarCallLog,
     Oracle,
-    OracleCallRecord,
     PredicateOracle,
     StatisticOracle,
     evaluate_oracle_batch,
@@ -63,7 +62,6 @@ from repro.oracle.groupkey import GroupKeyOracle, PerGroupOracles
 __all__ = [
     "ColumnarCallLog",
     "Oracle",
-    "OracleCallRecord",
     "PredicateOracle",
     "StatisticOracle",
     "evaluate_oracle_batch",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import abc
 import threading
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -19,22 +18,12 @@ import numpy as np
 from repro.analysis.annotations import guarded_by
 
 __all__ = [
-    "OracleCallRecord",
     "ColumnarCallLog",
     "Oracle",
     "PredicateOracle",
     "StatisticOracle",
     "evaluate_oracle_batch",
 ]
-
-
-@dataclass
-class OracleCallRecord:
-    """A single oracle invocation, kept for auditing and cost reports."""
-
-    record_index: int
-    result: object
-    cost: float
 
 
 class ColumnarCallLog:
@@ -45,10 +34,9 @@ class ColumnarCallLog:
     per-record object constructions.  Indices and costs live in NumPy
     buffers that double on overflow (O(1) amortized per record); results —
     which may be booleans, floats or arbitrary group keys — live in a plain
-    Python list extended in bulk.  The legacy list-of-
-    :class:`OracleCallRecord` view is materialized lazily on demand and is
-    element-wise identical (order, indices, results, costs) to what the
-    per-record append implementation produced.
+    Python list extended in bulk.  Entry by entry (order, indices,
+    results, costs) it is identical to what the historical per-record
+    append implementation produced.
     """
 
     _INITIAL_CAPACITY = 64
@@ -122,15 +110,6 @@ class ColumnarCallLog:
         """Results of every logged call, in evaluation order (a copy)."""
         return list(self._results)
 
-    def records(self) -> List[OracleCallRecord]:
-        """Lazily materialize the legacy per-call record list."""
-        indices = self._indices[: self._size].tolist()
-        costs = self._costs[: self._size].tolist()
-        return [
-            OracleCallRecord(record_index=index, result=result, cost=cost)
-            for index, result, cost in zip(indices, self._results, costs)
-        ]
-
 
 @guarded_by("_account_lock", "_num_calls", "_log")
 class Oracle(abc.ABC):
@@ -186,20 +165,11 @@ class Oracle(abc.ABC):
         return self._cost_per_call * self._num_calls
 
     @property
-    def call_log(self) -> List[OracleCallRecord]:
+    def call_log_columns(self) -> ColumnarCallLog:
         """The per-call log (empty unless constructed with ``keep_log=True``).
 
-        This is the *legacy view*: a fresh list of
-        :class:`OracleCallRecord` objects materialized on access (O(n)).
-        Accounting itself is columnar — prefer :attr:`call_log_columns` in
-        hot paths, which exposes the underlying buffers without object
-        churn.
+        Columnar index/result/cost buffers with zero-copy views.
         """
-        return self._log.records()
-
-    @property
-    def call_log_columns(self) -> ColumnarCallLog:
-        """The columnar call log (index/result/cost buffers, zero-copy views)."""
         return self._log
 
     def reset_accounting(self) -> None:
@@ -218,9 +188,8 @@ class Oracle(abc.ABC):
         helper, so a batch of ``n`` records is indistinguishable — in
         counters, cost and log — from ``n`` sequential calls.  Logging is
         columnar: one bulk append per batch (O(1) amortized per record)
-        instead of one :class:`OracleCallRecord` construction per record;
-        the legacy record list stays available as a lazily-materialized
-        view through :attr:`call_log`.  The helper is thread-safe:
+        instead of one object construction per record.  The helper is
+        thread-safe:
         composite oracles evaluated on worker threads (see
         :mod:`repro.core.parallel`) account their children here
         concurrently without losing updates.

@@ -128,11 +128,6 @@ class BudgetedOracle:
         return getattr(self._oracle, "total_cost", 0.0)
 
     @property
-    def call_log(self):
-        """The wrapped oracle's call log (legacy record-list view)."""
-        return getattr(self._oracle, "call_log", [])
-
-    @property
     def call_log_columns(self):
         """The wrapped oracle's columnar call log, when it keeps one."""
         return getattr(self._oracle, "call_log_columns", None)

@@ -31,12 +31,7 @@ from repro.core.abae import run_abae
 from repro.core.stratification import stratification_cache_disabled
 from repro.engine.builders import multipred_pipeline, two_stage_pipeline
 from repro.engine.pipeline import SamplingPipeline
-from repro.engine.config import (
-    UNSET,
-    ExecutionConfig,
-    ExecutionConfigError,
-    resolve_execution_config,
-)
+from repro.engine.config import ExecutionConfig
 from repro.core.bootstrap import bootstrap_aggregate_interval
 from repro.core.groupby import (
     GroupSpec,
@@ -306,9 +301,6 @@ def execute_query(
     with_ci: bool = True,
     seed: Optional[int] = None,
     rng: Optional[RandomState] = None,
-    batch_size=UNSET,
-    num_workers=UNSET,
-    plan_cache=UNSET,
     config: Optional[ExecutionConfig] = None,
     backend=None,
 ) -> QueryResult:
@@ -321,26 +313,13 @@ def execute_query(
     whether execution may reuse the process-wide proxy-scores /
     stratification caches across repeated queries (``plan_cache``, default
     on).  ``backend`` is the dataset-backend hint (validated at planning
-    time like ``plan_cache``): the storage that string column
-    registrations resolve against, overriding the context's default.  The
-    legacy ``batch_size`` / ``num_workers`` / ``plan_cache`` kwargs remain
-    as deprecated aliases.  No knob ever changes the query answer, the
-    confidence interval, or the oracle call count — backends serve
-    bit-identical column values.
+    time like ``config``): the storage that string column registrations
+    resolve against, overriding the context's default.  No knob ever
+    changes the query answer, the confidence interval, or the oracle call
+    count — backends serve bit-identical column values.
     """
     if isinstance(query, str):
         query = parse_query(query)
-    try:
-        config = resolve_execution_config(
-            config,
-            "execute_query",
-            stacklevel=3,
-            batch_size=batch_size,
-            num_workers=num_workers,
-            plan_cache=plan_cache,
-        )
-    except ExecutionConfigError as exc:
-        raise PlanningError(str(exc)) from None
     plan = plan_query(
         query,
         config=config,
@@ -360,10 +339,10 @@ def execute_query(
         )
     # Explicit seed wins; otherwise the config's rng policy (historically a
     # fresh nondeterministic state when neither is given).
-    rng = rng or RandomState(seed if seed is not None else config.seed)
+    rng = rng or RandomState(seed if seed is not None else plan.config.seed)
 
     cache_scope = (
-        nullcontext() if plan.plan_cache else stratification_cache_disabled()
+        nullcontext() if plan.config.plan_cache else stratification_cache_disabled()
     )
     with cache_scope:
         if plan.kind is PlanKind.GROUP_BY:
@@ -462,10 +441,6 @@ def prepare_query(
     """
     if isinstance(query, str):
         query = parse_query(query)
-    try:
-        config = resolve_execution_config(config, "prepare_query", stacklevel=3)
-    except ExecutionConfigError as exc:
-        raise PlanningError(str(exc)) from None
     plan = plan_query(
         query,
         config=config,
@@ -488,7 +463,7 @@ def prepare_query(
         )
 
     cache_scope = (
-        nullcontext() if plan.plan_cache else stratification_cache_disabled()
+        nullcontext() if plan.config.plan_cache else stratification_cache_disabled()
     )
     with cache_scope:
         if plan.kind is PlanKind.MULTI_PREDICATE:

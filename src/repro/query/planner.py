@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 
 from repro.data.backend import DatasetBackend
 from repro.engine.config import (
-    UNSET,
     ExecutionConfig,
     ExecutionConfigError,
     resolve_execution_config,
@@ -51,9 +50,7 @@ class QueryPlan:
     :class:`~repro.engine.config.ExecutionConfig`).  All of it is purely
     physical — estimates, CIs and call counts are bit-identical for every
     setting — so the planner records it as part of the physical plan
-    rather than the logical decision tree.  The historical ``batch_size``
-    / ``num_workers`` / ``plan_cache`` attributes remain as read-only
-    views of the config.
+    rather than the logical decision tree.
     """
 
     kind: PlanKind
@@ -75,51 +72,25 @@ class QueryPlan:
     def alpha(self) -> float:
         return self.query.alpha
 
-    # -- Legacy knob views ----------------------------------------------------------
-    @property
-    def batch_size(self) -> Optional[int]:
-        return self.config.batch_size
-
-    @property
-    def num_workers(self) -> Optional[int]:
-        return self.config.num_workers
-
-    @property
-    def plan_cache(self) -> bool:
-        return self.config.plan_cache
-
 
 def plan_query(
     query: Query,
-    batch_size=UNSET,
-    num_workers=UNSET,
-    plan_cache=UNSET,
     config: Optional[ExecutionConfig] = None,
     backend: Optional[DatasetBackend] = None,
 ) -> QueryPlan:
     """Build a :class:`QueryPlan` for a parsed query.
 
     ``config`` (an :class:`~repro.engine.config.ExecutionConfig`) is
-    attached to the plan as its physical-execution hints; the legacy
-    ``batch_size`` / ``num_workers`` / ``plan_cache`` kwargs keep working
-    as deprecated aliases.  ``backend`` is the plan's dataset-backend
-    hint: the storage the executor resolves string column references
-    against (see :mod:`repro.data`), validated here exactly like
-    ``plan_cache``.  Validation happens at planning time — through the
-    config's one shared error path — so a bad knob raises a clear
+    attached to the plan as its physical-execution hints.  ``backend`` is
+    the plan's dataset-backend hint: the storage the executor resolves
+    string column references against (see :mod:`repro.data`).  Both are
+    validated at planning time, so a ``config`` that is not an
+    ``ExecutionConfig`` or a bad backend raises a clear
     :class:`~repro.query.errors.PlanningError` (a ``QueryError``) instead
-    of surfacing as a ``ValueError`` from deep inside the execution
-    engine mid-sampling.
+    of surfacing from deep inside the execution engine mid-sampling.
     """
     try:
-        config = resolve_execution_config(
-            config,
-            "plan_query",
-            stacklevel=3,
-            batch_size=batch_size,
-            num_workers=num_workers,
-            plan_cache=plan_cache,
-        )
+        config = resolve_execution_config(config, "plan_query")
     except ExecutionConfigError as exc:
         raise PlanningError(str(exc)) from None
     if backend is not None and not isinstance(backend, DatasetBackend):

@@ -67,17 +67,27 @@ def spawn_seed_list(n: int, entropy: int = SEED_LIST_ENTROPY) -> Tuple[int, ...]
 WIDE_GRID_SEEDS = spawn_seed_list(3)
 
 
+@dataclass
+class LegacyCallRecord:
+    """One logged oracle call, as the pre-columnar log stored it."""
+
+    record_index: int
+    result: object
+    cost: float
+
+
 class LegacyRecordListMixin:
     """The pre-columnar per-record list accounting, reproduced verbatim.
 
     Single source of truth for the legacy baseline: ``_record`` below is
-    the exact implementation that shipped before the array-backed
-    ``ColumnarCallLog`` rewrite (one ``OracleCallRecord`` construction per
-    evaluated record, under the accounting lock).  Mix it into any
-    :class:`repro.oracle.base.Oracle` subclass to obtain the historical
-    behaviour — ``tests/test_accounting_parity.py`` compares it against
-    the columnar log element-wise, and ``scripts/bench_hotpath.py`` times
-    it as the pre-PR arm.
+    the implementation that shipped before the array-backed
+    ``ColumnarCallLog`` rewrite (one :class:`LegacyCallRecord`
+    construction per evaluated record, under the accounting lock).  Mix
+    it into any :class:`repro.oracle.base.Oracle` subclass to obtain the
+    historical behaviour — ``tests/test_accounting_parity.py`` compares
+    :attr:`legacy_log` against the columnar log entry by entry, and
+    ``scripts/bench_hotpath.py`` times it as the pre-columnar arm (the
+    per-record object construction is the cost that arm measures).
     """
 
     def __init__(self, *args, **kwargs):
@@ -85,15 +95,13 @@ class LegacyRecordListMixin:
         self._legacy_records = []
 
     def _record(self, record_indices, results):
-        from repro.oracle.base import OracleCallRecord
-
         count = len(record_indices)
         with self._account_lock:
             self._num_calls += count
             if self._keep_log:
                 for record_index, result in zip(record_indices, results):
                     self._legacy_records.append(
-                        OracleCallRecord(
+                        LegacyCallRecord(
                             record_index=int(record_index),
                             result=result,
                             cost=self._cost_per_call,
@@ -101,7 +109,8 @@ class LegacyRecordListMixin:
                     )
 
     @property
-    def call_log(self):
+    def legacy_log(self):
+        """The :class:`LegacyCallRecord` of every logged call, in order."""
         return list(self._legacy_records)
 
     def reset_accounting(self):
@@ -156,6 +165,20 @@ def _canonical_result(result) -> object:
     return result
 
 
+def call_log_entries(oracle) -> list:
+    """``(record_index, result, cost)`` per logged call, in evaluation order.
+
+    Reads the columnar log, or a :class:`LegacyRecordListMixin` oracle's
+    own per-record list; an oracle that keeps no log gives ``[]``.
+    """
+    if isinstance(oracle, LegacyRecordListMixin):
+        return [(r.record_index, r.result, r.cost) for r in oracle.legacy_log]
+    columns = getattr(oracle, "call_log_columns", None)
+    if columns is None:
+        return []
+    return list(zip(columns.indices.tolist(), columns.results, columns.costs.tolist()))
+
+
 def oracle_accounting_fingerprint(oracle) -> str:
     """Digest of an oracle's complete accounting state.
 
@@ -164,14 +187,13 @@ def oracle_accounting_fingerprint(oracle) -> str:
     and per-call cost, in evaluation order.  Two oracles with the same
     fingerprint performed element-wise identical charged work.
     """
-    log = getattr(oracle, "call_log", [])
     return repr(
         (
             getattr(oracle, "num_calls", None),
             getattr(oracle, "total_cost", None),
             [
-                (r.record_index, _canonical_result(r.result), r.cost)
-                for r in log
+                (index, _canonical_result(result), cost)
+                for index, result, cost in call_log_entries(oracle)
             ],
         )
     )

@@ -1,19 +1,19 @@
 """Columnar oracle accounting: element-wise parity with the legacy log.
 
-The columnar call log (``repro.oracle.base.ColumnarCallLog``) replaced the
-per-record list of ``OracleCallRecord`` dataclasses.  Its contract is that
-the lazily-materialized ``call_log`` view is *element-wise identical* —
-same order, same record indices, same results, same costs — to what the
-legacy per-record append implementation produced, for every execution
+The columnar call log (``repro.oracle.base.ColumnarCallLog``) replaced a
+per-record list of call records.  Its contract is that its entries are
+*element-wise identical* — same order, same record indices, same results,
+same costs — to what the legacy per-record append implementation
+produced, for every execution
 engine: sequential scalar calls, whole-batch evaluation, worker-pool
 sharding, composite short-circuit evaluation, caching and budget wrappers.
 
 The tests pin that in two ways:
 
-* a **reference implementation** (``_LegacyRecordMixin``) reproduces the
-  pre-columnar ``_record`` verbatim; legacy and columnar oracles are
-  driven through identical operations and their logs compared entry by
-  entry;
+* a **reference implementation** (``harness.LegacyRecordListMixin``)
+  reproduces the pre-columnar per-record ``_record``; legacy and columnar
+  oracles are driven through identical operations and their logs
+  compared entry by entry;
 * the **equivalence harness** runs full samplers over the (seed x
   batch_size x num_workers) grid with an accounting-aware fingerprint, so
   any divergence in counters or log content across execution knobs fails
@@ -34,6 +34,7 @@ from harness import (
 
 from repro.core.abae import run_abae
 from repro.core.parallel import ParallelOracle
+from repro.engine.config import ExecutionConfig
 from repro.oracle.base import ColumnarCallLog
 from repro.oracle.budget import BudgetedOracle, OracleBudget
 from repro.oracle.cache import CachingOracle
@@ -54,19 +55,15 @@ def _assert_logs_identical(columnar_oracle, legacy_oracle):
     """Element-wise comparison of the two accounting implementations."""
     assert columnar_oracle.num_calls == legacy_oracle.num_calls
     assert columnar_oracle.total_cost == legacy_oracle.total_cost
-    columnar = columnar_oracle.call_log
-    legacy = legacy_oracle.call_log
-    assert len(columnar) == len(legacy)
-    for got, want in zip(columnar, legacy):
-        assert got.record_index == want.record_index
-        assert bool(got.result) == bool(want.result)
-        assert got.cost == want.cost
-    # The columnar views must agree with their own materialized records.
     columns = columnar_oracle.call_log_columns
     assert isinstance(columns, ColumnarCallLog)
-    assert columns.indices.tolist() == [r.record_index for r in legacy]
-    assert [bool(r) for r in columns.results] == [bool(r.result) for r in legacy]
-    assert columns.costs.tolist() == [r.cost for r in legacy]
+    legacy = legacy_oracle.legacy_log
+    assert len(columns) == len(legacy)
+    columnar = zip(columns.indices.tolist(), columns.results, columns.costs.tolist())
+    for (index, result, cost), want in zip(columnar, legacy):
+        assert index == want.record_index
+        assert bool(result) == bool(want.result)
+        assert cost == want.cost
 
 
 @pytest.fixture
@@ -111,7 +108,6 @@ class TestColumnarMatchesLegacy:
         _drive(oracle)
         oracle.reset_accounting()
         assert oracle.num_calls == 0
-        assert oracle.call_log == []
         assert len(oracle.call_log_columns) == 0
         _drive(oracle)
         legacy = LegacyLabelOracle(labels, keep_log=True)
@@ -178,7 +174,6 @@ class TestColumnarMatchesLegacy:
         assert budget_a.spent == budget_b.spent
         _assert_logs_identical(columnar.inner, legacy.inner)
         # The wrapper exposes the inner oracle's log directly.
-        assert len(columnar.call_log) == len(columnar.inner.call_log)
         assert columnar.call_log_columns is columnar.inner.call_log_columns
 
 
@@ -202,8 +197,7 @@ class TestAccountingAcrossExecutionGrid:
                 budget=150,
                 num_strata=4,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
             return result, oracle
 

@@ -30,6 +30,7 @@ from repro.core.adaptive import run_abae_sequential, run_abae_until_width
 from repro.core.groupby import GroupSpec, run_groupby_multi_oracle, run_groupby_single_oracle
 from repro.core.multipred import And, Not, Or, PredicateLeaf, run_abae_multipred
 from repro.core.uniform import UniformSampler, run_uniform
+from repro.engine.config import ExecutionConfig
 from repro.oracle.base import StatisticOracle, evaluate_oracle_batch
 from repro.oracle.budget import BudgetedOracle, OracleBudget, OracleBudgetExceededError
 from repro.oracle.cache import CachingOracle
@@ -62,8 +63,7 @@ class TestSinglePredicateParity:
                 with_ci=True,
                 num_bootstrap=50,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
             call_counts.add(oracle.num_calls)
             return result
@@ -76,10 +76,12 @@ class TestSinglePredicateParity:
     def test_facade_override_and_default(self, scenario):
         sampler = ABae(
             scenario.proxy, scenario.make_oracle(), scenario.statistic_values,
-            batch_size=1,
+            config=ExecutionConfig(batch_size=1),
         )
         sequential = sampler.estimate(budget=800, rng=RandomState(3))
-        batched = sampler.estimate(budget=800, rng=RandomState(3), batch_size=None)
+        batched = sampler.estimate(
+            budget=800, rng=RandomState(3), config=ExecutionConfig(batch_size=None)
+        )
         assert sequential.estimate == batched.estimate
         assert sequential.oracle_calls == batched.oracle_calls
 
@@ -93,8 +95,7 @@ class TestSinglePredicateParity:
                 with_ci=True,
                 num_bootstrap=50,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -107,7 +108,7 @@ class TestSinglePredicateParity:
                 scenario.num_records,
                 scenario.make_oracle(),
                 scenario.statistic_values,
-                batch_size=batch_size,
+                config=ExecutionConfig(batch_size=batch_size),
             ).estimate(budget=500, rng=RandomState(5))
             for batch_size in (1, None)
         ]
@@ -123,8 +124,7 @@ class TestAdaptiveParity:
                 scenario.statistic_values,
                 budget=600,
                 rng=RandomState(seed),
-                oracle_batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -141,8 +141,7 @@ class TestAdaptiveParity:
                 max_budget=1_200,
                 num_bootstrap=100,
                 rng=RandomState(seed),
-                oracle_batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -164,8 +163,7 @@ class TestGroupByParity:
                 budget=1_200,
                 allocation_method=allocation_method,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -189,8 +187,7 @@ class TestGroupByParity:
                 budget=1_200,
                 allocation_method=allocation_method,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -218,8 +215,7 @@ class TestMultiPredicateParity:
                 scenario.statistic_values,
                 budget=1_000,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -246,8 +242,7 @@ class TestMultiPredicateParity:
                 scenario.statistic_values,
                 budget=600,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -270,8 +265,7 @@ class TestQueryExecutorParity:
                 query,
                 context,
                 seed=seed,
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
                 num_bootstrap=50,
             )
 
@@ -301,9 +295,10 @@ class TestOracleAccountingParity:
         assert [bool(a) for a in answers] == [bool(labels[i]) for i in idx]
         assert sequential.num_calls == batched.num_calls == 200
         assert sequential.total_cost == batched.total_cost
-        assert [(r.record_index, bool(r.result), r.cost) for r in sequential.call_log] == [
-            (r.record_index, bool(r.result), r.cost) for r in batched.call_log
-        ]
+        got, want = sequential.call_log_columns, batched.call_log_columns
+        assert got.indices.tolist() == want.indices.tolist()
+        assert [bool(r) for r in got.results] == [bool(r) for r in want.results]
+        assert got.costs.tolist() == want.costs.tolist()
 
     def test_total_cost_is_partition_invariant(self):
         # cost_per_call = 0.1 is not exactly representable; accumulating it

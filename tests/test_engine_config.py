@@ -1,9 +1,9 @@
-"""ExecutionConfig: eager validation, merging, and legacy-kwarg deprecation.
+"""ExecutionConfig: eager validation, the one config path, facade seeding.
 
 The config is the engine's one shared error path for execution knobs: a
-bad setting must fail at construction (never mid-sampling), every legacy
-per-knob kwarg must keep working but warn loudly, and the modern
-``config=`` path must be completely silent.
+bad setting must fail at construction (never mid-sampling), ``config=``
+is the only way to pass a knob (the removed per-knob kwargs raise
+``TypeError``), and that path is completely silent.
 """
 
 import warnings
@@ -13,12 +13,13 @@ import pytest
 
 from repro.core.abae import ABae, run_abae
 from repro.core.adaptive import run_abae_sequential, run_abae_until_width
+from repro.core.groupby import run_groupby_multi_oracle, run_groupby_single_oracle
+from repro.core.multipred import run_abae_multipred
 from repro.core.uniform import UniformSampler, run_uniform
 from repro.engine import (
     ExecutionConfig,
     ExecutionConfigError,
     ProgressEvent,
-    UNSET,
     resolve_execution_config,
 )
 from repro.query.errors import PlanningError
@@ -95,22 +96,6 @@ class TestValidation:
 
 
 class TestMergingAndRng:
-    def test_merged_overrides_and_revalidates(self):
-        base = ExecutionConfig(batch_size=8)
-        assert base.merged(batch_size=UNSET) is base
-        merged = base.merged(num_workers=2)
-        assert merged.batch_size == 8 and merged.num_workers == 2
-        with pytest.raises(ExecutionConfigError, match="batch_size"):
-            base.merged(batch_size=-5)
-        with pytest.raises(ExecutionConfigError, match="unknown"):
-            base.merged(warp_speed=9)
-
-    def test_merged_explicit_none_is_honoured(self):
-        base = ExecutionConfig(batch_size=8, num_workers=4)
-        merged = base.merged(batch_size=None, num_workers=None)
-        assert merged.batch_size is None
-        assert merged.num_workers is None
-
     def test_make_rng_policy(self):
         # Explicit rng wins; otherwise the config seed; otherwise the
         # historical seed-0 default.
@@ -125,137 +110,54 @@ class TestMergingAndRng:
 
 
 class TestLegacyKwargDeprecation:
-    """Old per-knob kwargs keep working — loudly."""
+    """The deprecated per-knob kwargs are gone: ``config=`` is the only path."""
 
-    def _assert_warns_deprecated(self, fn):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            return fn()
+    FUNCTION_KWARGS = {
+        run_abae: ("batch_size", "num_workers", "parallel_backend"),
+        run_uniform: ("batch_size", "num_workers", "parallel_backend"),
+        run_abae_sequential: ("oracle_batch_size", "num_workers", "parallel_backend"),
+        run_abae_until_width: ("oracle_batch_size", "num_workers", "parallel_backend"),
+        run_abae_multipred: ("batch_size", "num_workers", "parallel_backend"),
+        run_groupby_single_oracle: ("batch_size", "num_workers", "parallel_backend"),
+        run_groupby_multi_oracle: ("batch_size", "num_workers", "parallel_backend"),
+        plan_query: ("batch_size", "num_workers", "plan_cache"),
+        execute_query: ("batch_size", "num_workers", "plan_cache"),
+    }
+    FACADE_KWARGS = {
+        "ABae": ("batch_size", "num_workers", "parallel_backend"),
+        "ABae.estimate": ("batch_size", "num_workers"),
+        "UniformSampler": ("batch_size", "num_workers", "parallel_backend"),
+        "UniformSampler.estimate": ("batch_size", "num_workers"),
+    }
+    CASES = [
+        (fn.__name__, kwarg) for fn, kwargs in FUNCTION_KWARGS.items() for kwarg in kwargs
+    ] + [(name, kwarg) for name, kwargs in FACADE_KWARGS.items() for kwarg in kwargs]
 
-    def test_run_abae_legacy_kwargs_warn(self, scenario):
-        result = self._assert_warns_deprecated(
-            lambda: run_abae(
-                scenario.proxy,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                budget=120,
-                rng=RandomState(0),
-                batch_size=7,
-                num_workers=2,
+    @pytest.mark.parametrize("entry_point, kwarg", CASES)
+    def test_removed_kwarg_raises_type_error(self, scenario, entry_point, kwarg):
+        # Argument binding rejects an unknown kwarg before it checks for
+        # missing ones, so the functions need no inputs; the facades are
+        # real instances.
+        def abae(**kw):
+            return ABae(
+                scenario.proxy, scenario.make_oracle(), scenario.statistic_values, **kw
             )
-        )
-        assert result.oracle_calls == 120
 
-    def test_run_uniform_legacy_kwargs_warn(self, scenario):
-        self._assert_warns_deprecated(
-            lambda: run_uniform(
-                scenario.num_records,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                budget=60,
-                rng=RandomState(0),
-                batch_size=5,
-            )
-        )
-
-    def test_adaptive_legacy_kwargs_warn(self, scenario):
-        self._assert_warns_deprecated(
-            lambda: run_abae_sequential(
-                scenario.proxy,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                budget=150,
-                warmup_per_stratum=5,
-                rng=RandomState(0),
-                oracle_batch_size=16,
-            )
-        )
-        self._assert_warns_deprecated(
-            lambda: run_abae_until_width(
-                scenario.proxy,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                target_width=5.0,
-                max_budget=150,
-                num_bootstrap=20,
-                rng=RandomState(0),
-                num_workers=2,
-            )
-        )
-
-    def test_facade_legacy_kwargs_warn(self, scenario):
-        self._assert_warns_deprecated(
-            lambda: ABae(
-                scenario.proxy,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                batch_size=4,
-            )
-        )
-        self._assert_warns_deprecated(
-            lambda: UniformSampler(
-                scenario.num_records,
-                scenario.make_oracle(),
-                scenario.statistic_values,
-                num_workers=2,
-            )
-        )
-
-    def test_planner_and_executor_legacy_kwargs_warn(self, scenario):
-        query = parse_query(QUERY)
-        plan = self._assert_warns_deprecated(
-            lambda: plan_query(query, batch_size=16)
-        )
-        assert plan.batch_size == 16
-        # Validation still lands as PlanningError after the warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(PlanningError, match="batch_size"):
-                plan_query(query, batch_size=0)
-
-    def test_warning_points_at_the_caller_line(self, scenario):
-        """Legacy-kwarg deprecations must carry the *caller's* location.
-
-        A warning attributed to ``repro/engine/config.py`` is useless —
-        the user cannot find which of their calls to fix.  Every public
-        entry point (and a direct ``resolve_execution_config`` call) must
-        attribute the warning to this test file.
-        """
-        entry_points = {
-            "resolve_execution_config": lambda: resolve_execution_config(
-                None, "direct", batch_size=7
-            ),
-            "run_abae": lambda: run_abae(
-                scenario.proxy, scenario.make_oracle(),
-                scenario.statistic_values, budget=60,
-                rng=RandomState(0), batch_size=7,
-            ),
-            "run_uniform": lambda: run_uniform(
+        def uniform(**kw):
+            return UniformSampler(
                 scenario.num_records, scenario.make_oracle(),
-                scenario.statistic_values, budget=60,
-                rng=RandomState(0), num_workers=2,
-            ),
-            "run_abae_sequential": lambda: run_abae_sequential(
-                scenario.proxy, scenario.make_oracle(),
-                scenario.statistic_values, budget=100, warmup_per_stratum=4,
-                rng=RandomState(0), oracle_batch_size=8,
-            ),
-            "ABae.estimate": lambda: ABae(
-                scenario.proxy, scenario.make_oracle(),
-                scenario.statistic_values,
-            ).estimate(budget=60, rng=RandomState(0), batch_size=7),
-            "plan_query": lambda: plan_query(parse_query(QUERY), batch_size=7),
-        }
-        for name, invoke in entry_points.items():
-            with pytest.warns(DeprecationWarning, match="deprecated") as records:
-                invoke()
-            deprecations = [
-                r for r in records if issubclass(r.category, DeprecationWarning)
-            ]
-            assert deprecations, name
-            assert deprecations[0].filename == __file__, (
-                f"{name}: warning attributed to {deprecations[0].filename}, "
-                f"expected the caller's file {__file__}"
+                scenario.statistic_values, **kw
             )
+
+        invokers = {fn.__name__: fn for fn in self.FUNCTION_KWARGS}
+        invokers.update({
+            "ABae": abae,
+            "ABae.estimate": lambda **kw: abae().estimate(budget=60, **kw),
+            "UniformSampler": uniform,
+            "UniformSampler.estimate": lambda **kw: uniform().estimate(budget=60, **kw),
+        })
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{kwarg}'"):
+            invokers[entry_point](**{kwarg: 4})
 
     def test_config_path_is_silent(self, scenario):
         """The modern config= path must emit no deprecation warnings at all."""
@@ -310,10 +212,11 @@ class TestFacadeConfigSurface:
             scenario.statistic_values,
             config=ExecutionConfig(batch_size=3, num_workers=2),
         )
-        assert sampler.batch_size == 3
-        assert sampler.num_workers == 2
-        assert sampler.parallel_backend == "thread"
         assert sampler.config.batch_size == 3
+        assert sampler.config.num_workers == 2
+        assert sampler.config.parallel_backend == "thread"
+        # The knobs have one home: no read-only views on the facade.
+        assert not hasattr(sampler, "batch_size")
 
     def test_facade_sessions_validate_config_eagerly(self, scenario):
         # session() goes through the same shared validation path as
@@ -334,63 +237,51 @@ class TestFacadeConfigSurface:
         config = ExecutionConfig(batch_size=64, num_workers=4, plan_cache=False)
         plan = plan_query(parse_query(QUERY), config=config)
         assert plan.config is config
-        assert plan.batch_size == 64
-        assert plan.num_workers == 4
-        assert plan.plan_cache is False
+        assert not hasattr(plan, "batch_size")
 
-    def test_execute_query_config_matches_legacy(self, scenario):
-        from repro.query.executor import QueryContext
 
-        context = QueryContext(scenario.num_records)
-        context.register_statistic("views", scenario.statistic_values)
-        context.register_predicate(
-            "spam(msg) = 'yes'", scenario.make_oracle(), scenario.proxy,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = execute_query(
-                QUERY, context, seed=4, num_bootstrap=30, batch_size=17,
-                num_workers=2,
+class TestFacadeSeeding:
+    """The facades seed exactly as the ``run_*`` function each one wraps.
+
+    ``rng`` wins, then ``seed``, then ``config.seed``, then seed 0: an
+    unseeded facade call is as deterministic as an unseeded ``run_abae``.
+    """
+
+    BUDGET = 200
+    KWARGS = dict(with_ci=True, num_bootstrap=50)
+
+    def _facade_and_run(self, scenario, family, config):
+        if family == "abae":
+            facade_cls, run_fn, population = ABae, run_abae, scenario.proxy
+        else:
+            facade_cls, run_fn, population = (
+                UniformSampler, run_uniform, scenario.num_records,
             )
-        modern = execute_query(
-            QUERY, context, seed=4, num_bootstrap=30,
-            config=ExecutionConfig(batch_size=17, num_workers=2),
+        facade = facade_cls(
+            population, scenario.make_oracle(), scenario.statistic_values,
+            config=config,
         )
-        assert legacy.value == modern.value
-        assert (legacy.ci.lower, legacy.ci.upper) == (modern.ci.lower, modern.ci.upper)
-        assert legacy.oracle_calls == modern.oracle_calls
 
-
-class TestLegacyConfigFingerprintParity:
-    """Legacy kwargs and config= drive the exact same engine execution."""
-
-    def test_groupby_paths_bit_identical(self):
-        from harness import groupby_fingerprint
-        from repro.core.groupby import (
-            GroupSpec,
-            run_groupby_multi_oracle,
-            run_groupby_single_oracle,
-        )
-        from repro.synth import make_groupby_scenario
-
-        gb = make_groupby_scenario("synthetic", setting="single", seed=1, size=5000)
-        specs = [GroupSpec(key=g, proxy=gb.proxies[g]) for g in gb.groups]
-        for runner, oracle_factory in (
-            (run_groupby_single_oracle, gb.make_single_oracle),
-            (run_groupby_multi_oracle, gb.make_per_group_oracles),
-        ):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = runner(
-                    specs, oracle_factory(), gb.statistic_values, budget=500,
-                    rng=RandomState(3), batch_size=13, num_workers=2,
-                )
-            modern = runner(
-                specs, oracle_factory(), gb.statistic_values, budget=500,
-                rng=RandomState(3),
-                config=ExecutionConfig(batch_size=13, num_workers=2),
+        def run():
+            return run_fn(
+                population, scenario.make_oracle(), scenario.statistic_values,
+                budget=self.BUDGET, config=config, **self.KWARGS,
             )
-            assert groupby_fingerprint(legacy) == groupby_fingerprint(modern)
+
+        return facade, run
+
+    @pytest.mark.parametrize("family", ["abae", "uniform"])
+    @pytest.mark.parametrize("config", [ExecutionConfig(seed=7), None])
+    def test_facade_matches_run_function(self, scenario, family, config):
+        from harness import estimate_fingerprint
+
+        facade, run = self._facade_and_run(scenario, family, config)
+        expected = estimate_fingerprint(run())
+        for _ in range(2):
+            got = facade.estimate(budget=self.BUDGET, **self.KWARGS)
+            assert estimate_fingerprint(got) == expected
+            streamed = facade.session(budget=self.BUDGET, **self.KWARGS).run()
+            assert estimate_fingerprint(streamed) == expected
 
 
 class TestProgressCallback:
@@ -426,16 +317,6 @@ class TestResolveExecutionConfig:
         with pytest.raises(ExecutionConfigError, match="ExecutionConfig"):
             resolve_execution_config({"batch_size": 4}, "test")
 
-    def test_default_base_used_for_overrides(self):
-        base = ExecutionConfig(batch_size=10, num_workers=3)
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_execution_config(
-                None, "test", default=base, batch_size=None
-            )
-        # Explicit None override wins; unrelated fields inherit the base.
-        assert resolved.batch_size is None
-        assert resolved.num_workers == 3
-
 
 class TestErrorMessageContracts:
     """Rejection messages must *enumerate* the allowed values.
@@ -464,15 +345,3 @@ class TestErrorMessageContracts:
         message = str(excinfo.value)
         for choice in self.BATCH_SIZE_CHOICES + self.BACKEND_CHOICES:
             assert choice in message
-
-    @pytest.mark.parametrize("bad_batch_size", ["numab", "fast"])
-    def test_planning_error_preserves_enumeration(self, bad_batch_size):
-        # The planner wraps ExecutionConfigError in PlanningError; the
-        # enumeration must survive the wrapping verbatim.
-        query = parse_query(QUERY)
-        with pytest.warns(DeprecationWarning), pytest.raises(PlanningError) as excinfo:
-            plan_query(query, batch_size=bad_batch_size)
-        message = str(excinfo.value)
-        for choice in self.BATCH_SIZE_CHOICES:
-            assert choice in message
-        assert repr(bad_batch_size) in message

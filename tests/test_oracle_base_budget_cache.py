@@ -37,15 +37,15 @@ class TestOracleAccounting:
 
     def test_call_log_disabled_by_default(self, tiny_oracle):
         tiny_oracle(0)
-        assert tiny_oracle.call_log == []
+        assert len(tiny_oracle.call_log_columns) == 0
 
     def test_call_log_enabled(self, tiny_labels):
         oracle = LabelColumnOracle(tiny_labels, keep_log=True)
         oracle(3)
-        log = oracle.call_log
+        log = oracle.call_log_columns
         assert len(log) == 1
-        assert log[0].record_index == 3
-        assert log[0].result == bool(tiny_labels[3])
+        assert log.indices.tolist() == [3]
+        assert log.results == [bool(tiny_labels[3])]
 
     def test_predicate_returns_python_bool(self, tiny_oracle):
         assert isinstance(tiny_oracle(0), bool)

@@ -467,7 +467,7 @@ class TestEndpointLifecycle:
         endpoint = make_endpoint(SimulatedRemoteOracle(LABELS))
         oracle = AsyncOracle(endpoint, keep_log=True)
         oracle.evaluate_batch([0, 1, 3])
-        log = oracle.call_log
-        assert [r.record_index for r in log] == [0, 1, 3]
-        assert [bool(r.result) for r in log] == [True, False, True]
+        log = oracle.call_log_columns
+        assert log.indices.tolist() == [0, 1, 3]
+        assert [bool(r) for r in log.results] == [True, False, True]
         endpoint.close()

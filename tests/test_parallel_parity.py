@@ -42,6 +42,7 @@ from repro.core.parallel import (
     shard_slices,
 )
 from repro.core.uniform import UniformSampler, run_uniform
+from repro.engine.config import ExecutionConfig
 from repro.oracle.budget import BudgetedOracle, OracleBudget
 from repro.oracle.cache import CachingOracle
 from repro.oracle.composite import AndOracle
@@ -82,8 +83,7 @@ class TestSamplerMatrix:
                 with_ci=True,
                 num_bootstrap=30,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -101,8 +101,7 @@ class TestSamplerMatrix:
                 with_ci=True,
                 num_bootstrap=30,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -118,8 +117,7 @@ class TestSamplerMatrix:
                 scenario.statistic_values,
                 budget=450,
                 rng=RandomState(seed),
-                oracle_batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -137,8 +135,7 @@ class TestSamplerMatrix:
                 max_budget=800,
                 num_bootstrap=60,
                 rng=RandomState(seed),
-                oracle_batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -160,8 +157,7 @@ class TestSamplerMatrix:
                 sc.statistic_values,
                 budget=500,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         # Fold the per-constituent short-circuit counts into the digest:
@@ -188,8 +184,7 @@ class TestSamplerMatrix:
                 budget=900,
                 allocation_method=allocation_method,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -213,8 +208,7 @@ class TestSamplerMatrix:
                 budget=900,
                 allocation_method=allocation_method,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -232,15 +226,14 @@ class TestFacadeAndExecutorMatrix:
             scenario.proxy,
             scenario.make_oracle(),
             scenario.statistic_values,
-            num_workers=4,
+            config=ExecutionConfig(num_workers=4),
         )
 
         def run(seed, batch_size, num_workers):
             return sampler.estimate(
                 budget=500,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -252,15 +245,14 @@ class TestFacadeAndExecutorMatrix:
             scenario.num_records,
             scenario.make_oracle(),
             scenario.statistic_values,
-            num_workers=2,
+            config=ExecutionConfig(num_workers=2),
         )
 
         def run(seed, batch_size, num_workers):
             return sampler.estimate(
                 budget=400,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -281,8 +273,7 @@ class TestFacadeAndExecutorMatrix:
                 query,
                 context,
                 seed=seed,
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
                 num_bootstrap=30,
             )
 
@@ -314,8 +305,7 @@ class TestWideMatrix:
                 with_ci=True,
                 num_bootstrap=200,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
+                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
             )
 
         assert_statistically_equivalent(
@@ -333,9 +323,11 @@ class TestWideMatrix:
                 scenario.statistic_values,
                 budget=1_200,
                 rng=RandomState(seed),
-                batch_size=batch_size,
-                num_workers=num_workers,
-                parallel_backend="process",
+                config=ExecutionConfig(
+                    batch_size=batch_size,
+                    num_workers=num_workers,
+                    parallel_backend="process",
+                ),
             )
 
         assert_statistically_equivalent(
@@ -406,8 +398,10 @@ class TestParallelPrimitives:
         np.testing.assert_array_equal(serial_answers, parallel_answers)
         assert parallel.num_calls == serial.num_calls == 500
         assert parallel.total_cost == serial.total_cost
-        assert [(r.record_index, bool(r.result)) for r in serial.call_log] == [
-            (r.record_index, bool(r.result)) for r in parallel.call_log
+        serial_log, parallel_log = serial.call_log_columns, parallel.call_log_columns
+        assert serial_log.indices.tolist() == parallel_log.indices.tolist()
+        assert [bool(r) for r in serial_log.results] == [
+            bool(r) for r in parallel_log.results
         ]
         assert parallel.sharded_batches == 1
         assert parallel.sharded_records == 500
@@ -552,13 +546,13 @@ class TestParallelPrimitives:
                 scenario.proxy,
                 scenario.make_oracle(),
                 scenario.statistic_values,
-                parallel_backend="thraed",
+                config=ExecutionConfig(parallel_backend="thraed"),
             ),
             lambda: UniformSampler(
                 scenario.num_records,
                 scenario.make_oracle(),
                 scenario.statistic_values,
-                parallel_backend="gpu",
+                config=ExecutionConfig(parallel_backend="gpu"),
             ),
         ):
             with pytest.raises(ValueError, match="backend"):
@@ -578,7 +572,7 @@ class TestParallelPrimitives:
                 scenario.statistic_values,
                 budget=300,
                 rng=rng,
-                num_workers=2,
+                config=ExecutionConfig(num_workers=2),
             ).estimate
 
         outcome = {}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.config import ExecutionConfig, ExecutionConfigError
 from repro.query.errors import BindingError, PlanningError
 from repro.query.exact import exact_answer
 from repro.query.executor import GroupBinding, QueryContext, execute_query
@@ -70,62 +71,65 @@ class TestPlanner:
 
 
 class TestPhysicalPlanHints:
-    """batch_size / num_workers are validated at plan time, not mid-sampling."""
+    """Execution knobs ride on the plan's config and fail before sampling."""
 
     def test_hints_carried_on_plan(self):
-        plan = plan_query(parse_query(SINGLE_QUERY), batch_size=64, num_workers=4)
-        assert plan.batch_size == 64
-        assert plan.num_workers == 4
+        plan = plan_query(
+            parse_query(SINGLE_QUERY),
+            config=ExecutionConfig(batch_size=64, num_workers=4),
+        )
+        assert plan.config.batch_size == 64
+        assert plan.config.num_workers == 4
 
     def test_hints_default_to_none(self):
         plan = plan_query(parse_query(SINGLE_QUERY))
-        assert plan.batch_size is None
-        assert plan.num_workers is None
+        assert plan.config.batch_size is None
+        assert plan.config.num_workers is None
 
     def test_numpy_integer_hints_accepted(self):
         # Worker counts computed with numpy must behave the same through
         # the planner as through the sampler APIs (shared validator).
         plan = plan_query(
             parse_query(SINGLE_QUERY),
-            batch_size=np.int64(16),
-            num_workers=np.int64(4),
+            config=ExecutionConfig(batch_size=np.int64(16), num_workers=np.int64(4)),
         )
-        assert plan.batch_size == 16
-        assert plan.num_workers == 4
+        assert plan.config.batch_size == 16
+        assert plan.config.num_workers == 4
 
     @pytest.mark.parametrize("bad", [0, -1, -100, 2.5, "8", True])
     def test_bad_batch_size_rejected_at_plan_time(self, bad):
-        with pytest.raises(PlanningError, match="batch_size"):
-            plan_query(parse_query(SINGLE_QUERY), batch_size=bad)
+        with pytest.raises(ExecutionConfigError, match="batch_size"):
+            plan_query(parse_query(SINGLE_QUERY), config=ExecutionConfig(batch_size=bad))
 
     @pytest.mark.parametrize("bad", [0, -1, -100, 2.5, "4", True])
     def test_bad_num_workers_rejected_at_plan_time(self, bad):
-        with pytest.raises(PlanningError, match="num_workers"):
-            plan_query(parse_query(SINGLE_QUERY), num_workers=bad)
+        with pytest.raises(ExecutionConfigError, match="num_workers"):
+            plan_query(parse_query(SINGLE_QUERY), config=ExecutionConfig(num_workers=bad))
 
     def test_execute_query_surfaces_planning_error(self, context):
-        # The executor plans first, so a bad knob raises the same clear
-        # QueryError subclass before a single record is sampled.
-        with pytest.raises(PlanningError, match="batch_size"):
-            execute_query(SINGLE_QUERY, context, batch_size=0)
-        with pytest.raises(PlanningError, match="num_workers"):
-            execute_query(SINGLE_QUERY, context, num_workers=-2)
+        # The executor plans first, so a config that is not an
+        # ExecutionConfig raises the same clear QueryError subclass before
+        # a single record is sampled.
+        with pytest.raises(PlanningError, match="ExecutionConfig"):
+            execute_query(SINGLE_QUERY, context, config={"batch_size": 0})
 
     def test_execute_query_accepts_valid_hints(self, context):
         result = execute_query(
-            SINGLE_QUERY, context, seed=0, batch_size=33, num_workers=2,
-            num_bootstrap=30,
+            SINGLE_QUERY, context, seed=0, num_bootstrap=30,
+            config=ExecutionConfig(batch_size=33, num_workers=2),
         )
         baseline = execute_query(SINGLE_QUERY, context, seed=0, num_bootstrap=30)
         assert result.value == baseline.value
         assert result.oracle_calls == baseline.oracle_calls
 
     def test_plan_cache_hint_carried_and_validated(self):
-        assert plan_query(parse_query(SINGLE_QUERY)).plan_cache is True
-        plan = plan_query(parse_query(SINGLE_QUERY), plan_cache=False)
-        assert plan.plan_cache is False
-        with pytest.raises(PlanningError, match="plan_cache"):
-            plan_query(parse_query(SINGLE_QUERY), plan_cache="yes")
+        assert plan_query(parse_query(SINGLE_QUERY)).config.plan_cache is True
+        plan = plan_query(
+            parse_query(SINGLE_QUERY), config=ExecutionConfig(plan_cache=False)
+        )
+        assert plan.config.plan_cache is False
+        with pytest.raises(ExecutionConfigError, match="plan_cache"):
+            ExecutionConfig(plan_cache="yes")
 
     def test_plan_cache_never_changes_results(self, context):
         # plan_cache is a pure physical knob: with the caches bypassed the
@@ -133,7 +137,8 @@ class TestPhysicalPlanHints:
         # call count are bit-identical.
         cached = execute_query(SINGLE_QUERY, context, seed=3, num_bootstrap=30)
         uncached = execute_query(
-            SINGLE_QUERY, context, seed=3, num_bootstrap=30, plan_cache=False
+            SINGLE_QUERY, context, seed=3, num_bootstrap=30,
+            config=ExecutionConfig(plan_cache=False),
         )
         assert cached.value == uncached.value
         assert (cached.ci.lower, cached.ci.upper) == (
