@@ -77,7 +77,7 @@ from repro.data import ChunkedBackend, DatasetBackend, InMemoryBackend, MmapBack
 from repro.engine import ExecutionConfig, SamplingPipeline, SamplingSession
 from repro.query import execute_query, parse_query
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "ABae",

@@ -92,11 +92,13 @@ def optimal_stratified_mse(
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     p_all = p_arr.sum()
-    denominator = budget * p_all**2
-    if denominator == 0:
+    if p_all == 0:
         return float("inf")
-    numerator = (np.sqrt(p_arr) * sigma_arr).sum() ** 2
-    return float(numerator / denominator)
+    # Divide by p_all before squaring: ``budget * p_all**2`` underflows into
+    # the subnormal range below p_all ~ 1e-154 and loses precision.  An MSE
+    # beyond float range overflows to inf, as the old zero denominator did.
+    with np.errstate(over="ignore"):
+        return float(((np.sqrt(p_arr) * sigma_arr).sum() / p_all) ** 2 / budget)
 
 
 def uniform_sampling_mse(

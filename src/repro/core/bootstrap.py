@@ -3,9 +3,19 @@
 The per-stratum samples across both stages are i.i.d. within each stratum,
 so we resample *within each stratum* with replacement, recompute the
 combined estimate, and take empirical percentiles across bootstrap trials.
-The paper argues the bootstrap's CPU cost is negligible next to oracle
-calls; our implementation vectorizes the resampling so 1,000 trials over
-typical sample sizes run in milliseconds.
+
+A trial only needs two numbers per stratum: how many resampled draws
+matched, and the sum of their statistic values.  Both depend only on how
+many times each *distinct* value was drawn.  Resampling ``n`` draws with
+replacement picks each record with probability ``1/n``, so the number of
+picks of each category -- "unmatched", or one distinct matched value
+(an *atom*) -- follows ``Multinomial(n, frequency / n)``.  Drawing those
+category counts directly is therefore the same bootstrap in distribution,
+not an approximation.  It costs ``O(atoms)`` per trial instead of
+``O(n)``, which pays off on tied statistics (counts, the constant 1 of a
+COUNT, 0/1 flags); continuous statistics, where every value is its own
+atom, keep the index-matrix resample.  :data:`MULTINOMIAL_DRAWS_PER_CATEGORY`
+picks the path from the stratum's draw and atom counts alone.
 """
 
 from __future__ import annotations
@@ -26,6 +36,16 @@ __all__ = [
 ]
 
 
+# A stratum takes the multinomial path when it has at least this many draws
+# per category (its atoms plus "unmatched").  Each trial then costs one
+# binomial per category instead of one index per draw.  Timed on a 2-core
+# x86-64 VM at 200 and 1000 trials, 1 to 100 atoms and 8 to 32 draws per
+# category, the two paths break even at about 24 draws per category; at 32
+# the multinomial path was 1.5-4.7x faster, and at 1715 draws over 9 atoms
+# 10-20x.
+MULTINOMIAL_DRAWS_PER_CATEGORY = 24
+
+
 def _resample_stats(
     mask: np.ndarray, values: np.ndarray, resample_idx: np.ndarray
 ) -> tuple:
@@ -33,14 +53,39 @@ def _resample_stats(
 
     ``mask`` is the stratum's boolean match mask, ``values`` its statistic
     column with unmatched entries already zeroed, and ``resample_idx`` the
-    ``(num_bootstrap, n)`` resampled position matrix.  Because unmatched
-    values are zero, one gather of ``values`` gives the positive-value sums
-    directly; the counts come back as float64.  Row sums use NumPy's
-    pairwise summation.
+    ``(num_bootstrap, n)`` resampled position matrix: the index path of
+    :func:`_resample_stratum`.  Because unmatched values are zero, one
+    gather of ``values`` gives the positive-value sums directly; the counts
+    come back as float64.  Row sums use NumPy's pairwise summation.
     """
     positives = np.count_nonzero(mask[resample_idx], axis=1).astype(np.float64)
     sums = values[resample_idx].sum(axis=1)
     return positives, sums
+
+
+def _resample_stratum(
+    sample: StratumSample, num_bootstrap: int, rng: RandomState
+) -> tuple:
+    """Per-trial positive counts and positive-value sums for one stratum.
+
+    Takes the multinomial path when the stratum has at least
+    :data:`MULTINOMIAL_DRAWS_PER_CATEGORY` draws per category and every
+    atom is finite (``0 * inf`` would poison trials that never pick it);
+    otherwise draws the ``(num_bootstrap, n)`` index matrix for
+    :func:`_resample_stats`.  The counts come back as float64 either way.
+    """
+    n = sample.num_draws
+    matched = sample.values[sample.matches]
+    atoms, freq = np.unique(matched, return_counts=True)
+    if MULTINOMIAL_DRAWS_PER_CATEGORY * (atoms.size + 1) <= n and np.isfinite(atoms).all():
+        pvals = np.concatenate(([n - matched.size], freq)) / n
+        counts = rng.multinomial(n, pvals, size=num_bootstrap)
+        positives = (n - counts[:, 0]).astype(np.float64)
+        sums = (counts[:, 1:] * atoms).sum(axis=1)
+        return positives, sums
+    values = np.where(sample.matches, sample.values, 0.0)
+    resample_idx = rng.integers(0, n, size=(num_bootstrap, n))
+    return _resample_stats(sample.matches, values, resample_idx)
 
 
 def _resample_strata(
@@ -50,10 +95,12 @@ def _resample_strata(
 ) -> tuple:
     """The resampling core: bootstrap matrices of ``p*_k`` and ``mu*_k``.
 
-    Every stratum with draws costs exactly one ``(num_bootstrap, n)``
-    index draw from ``rng`` and one resample pass; strata are visited in
-    order, so the stream position after the call depends only on the
-    per-stratum draw counts.
+    Strata are visited in order, and every stratum with draws makes one
+    draw from ``rng``: a ``(num_bootstrap, atoms + 1)`` multinomial or a
+    ``(num_bootstrap, n)`` integer matrix, chosen from that stratum's own
+    draws (see :func:`_resample_stratum`).  The stream position after the
+    call is therefore a pure function of the incoming stream and the
+    samples, so a seeded caller gets the same interval every time.
     """
     if num_bootstrap <= 0:
         raise ValueError(f"num_bootstrap must be positive, got {num_bootstrap}")
@@ -68,10 +115,7 @@ def _resample_strata(
         if n == 0:
             # Nothing was drawn from this stratum; it contributes p* = 0.
             continue
-        values = np.where(sample.matches, sample.values, 0.0)
-        # (num_bootstrap, n) index matrix of resampled positions.
-        resample_idx = rng.integers(0, n, size=(num_bootstrap, n))
-        positives, sums = _resample_stats(sample.matches, values, resample_idx)
+        positives, sums = _resample_stratum(sample, num_bootstrap, rng)
         p_star[:, k] = positives / n
         with np.errstate(invalid="ignore", divide="ignore"):
             mu_star[:, k] = np.where(positives > 0, sums / np.maximum(positives, 1), 0.0)

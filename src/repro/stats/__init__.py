@@ -5,8 +5,9 @@ algorithm and the experiment harness are built on:
 
 * :mod:`repro.stats.rng` — deterministic random-number management so that
   every experiment in the paper reproduction can be replayed bit-for-bit.
-* :mod:`repro.stats.sampling` — sampling with and without replacement over
-  index sets, the only sampling primitives Algorithm 1 needs.
+* :mod:`repro.stats.sampling` — sampling without replacement within a
+  stratum and budget splitting/rounding, the sampling primitives
+  Algorithm 1 needs.
 * :mod:`repro.stats.descriptive` — numerically careful means / variances of
   possibly-empty samples (the empty case matters: a stratum may yield zero
   positive records).
@@ -18,11 +19,7 @@ algorithm and the experiment harness are built on:
 """
 
 from repro.stats.rng import RandomState, spawn_children
-from repro.stats.sampling import (
-    sample_with_replacement,
-    sample_without_replacement,
-    split_budget,
-)
+from repro.stats.sampling import sample_without_replacement, split_budget
 from repro.stats.descriptive import (
     safe_mean,
     safe_std,
@@ -50,7 +47,6 @@ from repro.stats.concentration import (
 __all__ = [
     "RandomState",
     "spawn_children",
-    "sample_with_replacement",
     "sample_without_replacement",
     "split_budget",
     "safe_mean",

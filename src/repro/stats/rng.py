@@ -91,6 +91,9 @@ class RandomState:
     def binomial(self, n, p, size=None):
         return self._generator.binomial(n, p, size)
 
+    def multinomial(self, n, pvals, size=None):
+        return self._generator.multinomial(n, pvals, size)
+
     def poisson(self, lam, size=None):
         return self._generator.poisson(lam, size)
 

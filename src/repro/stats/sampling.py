@@ -1,13 +1,13 @@
-"""Sampling primitives used by Algorithm 1 and the bootstrap.
+"""Sampling primitives used by Algorithm 1.
 
-ABae only needs two sampling operations over index sets:
+ABae samples *without* replacement within a stratum (the Stage 1 and
+Stage 2 draws) and splits and rounds its oracle budget across stages and
+strata.  The bootstrap of Algorithm 2 resamples with replacement in
+:mod:`repro.core.bootstrap`, which draws from the stratum's category
+counts directly.
 
-* sampling *without* replacement from a stratum (Stage 1 and Stage 2 draws);
-* sampling *with* replacement from the already-drawn records (the bootstrap
-  of Algorithm 2).
-
-Both are exposed here with explicit :class:`~repro.stats.rng.RandomState`
-arguments so callers never touch global numpy randomness.
+Randomness comes in as an explicit :class:`~repro.stats.rng.RandomState`
+argument so callers never touch global numpy randomness.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.stats.rng import RandomState
 
 __all__ = [
     "sample_without_replacement",
-    "sample_with_replacement",
     "split_budget",
     "proportional_integer_allocation",
 ]
@@ -43,18 +42,6 @@ def sample_without_replacement(
         return np.empty(0, dtype=pop.dtype if pop.size else np.int64)
     take = min(n, pop.size)
     return rng.choice(pop, size=take, replace=False)
-
-
-def sample_with_replacement(
-    population: Sequence[int], n: int, rng: RandomState
-) -> np.ndarray:
-    """Draw ``n`` items from ``population`` with replacement (bootstrap)."""
-    if n < 0:
-        raise ValueError(f"sample size must be non-negative, got {n}")
-    pop = np.asarray(population)
-    if n == 0 or pop.size == 0:
-        return np.empty(0, dtype=pop.dtype if pop.size else np.int64)
-    return rng.choice(pop, size=n, replace=True)
 
 
 def split_budget(total: int, stage1_fraction: float) -> tuple:

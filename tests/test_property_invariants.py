@@ -12,7 +12,7 @@ non-negativity / sum constraints.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.abae import bounded_allocation, run_abae
@@ -73,6 +73,7 @@ class TestAllocationProperties:
         assert allocation.sum() == pytest.approx(1.0)
 
     @given(p_sigma_arrays(), st.integers(min_value=1, max_value=10_000))
+    @example((np.array([7.19680825e-160]), np.array([1.0])), 1)
     @settings(max_examples=80, deadline=None)
     def test_optimal_never_worse_than_uniform_for_equal_means(self, p_sigma, budget):
         p, sigma = p_sigma

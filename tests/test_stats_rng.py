@@ -71,6 +71,8 @@ class TestRandomState:
         assert state.beta(2.0, 3.0, size=2).shape == (2,)
         assert state.binomial(10, 0.5, size=2).shape == (2,)
         assert state.poisson(3.0, size=2).shape == (2,)
+        counts = state.multinomial(10, [0.2, 0.8], size=3)
+        assert counts.shape == (3, 2) and (counts.sum(axis=1) == 10).all()
 
     def test_choice_without_replacement_unique(self):
         state = RandomState(0)

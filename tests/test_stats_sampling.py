@@ -6,7 +6,6 @@ import pytest
 from repro.stats.rng import RandomState
 from repro.stats.sampling import (
     proportional_integer_allocation,
-    sample_with_replacement,
     sample_without_replacement,
     split_budget,
 )
@@ -47,28 +46,6 @@ class TestSampleWithoutReplacement:
         a = sample_without_replacement(np.arange(100), 10, RandomState(3))
         b = sample_without_replacement(np.arange(100), 10, RandomState(3))
         assert np.array_equal(a, b)
-
-
-class TestSampleWithReplacement:
-    def test_returns_requested_count(self):
-        out = sample_with_replacement(np.arange(5), 20, RandomState(0))
-        assert out.shape == (20,)
-
-    def test_values_from_population(self):
-        out = sample_with_replacement(np.array([3, 7]), 50, RandomState(0))
-        assert set(out.tolist()).issubset({3, 7})
-
-    def test_allows_duplicates(self):
-        out = sample_with_replacement(np.arange(3), 100, RandomState(0))
-        assert len(set(out.tolist())) <= 3
-
-    def test_empty_population(self):
-        out = sample_with_replacement(np.array([]), 5, RandomState(0))
-        assert out.size == 0
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            sample_with_replacement(np.arange(3), -2, RandomState(0))
 
 
 class TestSplitBudget:
