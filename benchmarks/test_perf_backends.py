@@ -5,7 +5,7 @@ dataset-storage layer (``repro.data``):
 
 * **parity** — mmap- and chunked-backed samplers produce bit-identical
   fingerprints (draws, estimates, CIs, oracle accounting) to the dense
-  in-memory backend across a (seed x batch_size x num_workers) grid,
+  in-memory backend across a (seed x batch_size) grid,
   asserted inside ``scripts/bench_backends.py`` before any memory
   numbers are reported;
 * **RSS envelope** — a 1M-record mmap-backed ABae query (over a dataset

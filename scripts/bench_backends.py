@@ -4,7 +4,7 @@
 Two phases, both gating:
 
 1. **Parity** — on a small scenario, every sampler cell of a
-   (seed x batch_size x num_workers) grid is executed three times — once
+   (seed x batch_size) grid is executed three times — once
    per backend (in-memory, mmap, chunked) — and the full fingerprints
    (estimate, CI, drawn indices, matches, values, oracle accounting) are
    asserted bit-identical across backends before any memory numbers are
@@ -57,7 +57,6 @@ from repro.synth import make_dataset, to_backend  # noqa: E402
 
 PARITY_SEEDS = (0, 1)
 PARITY_BATCH_SIZES = (1, 7, None)
-PARITY_NUM_WORKERS = (1, 2)
 
 
 def _rss_kb() -> int:
@@ -97,10 +96,8 @@ def run_parity(data_dir: Path, size: int, budget: int) -> dict:
         ),
     }
     cells = 0
-    for seed, batch_size, workers in itertools.product(
-        PARITY_SEEDS, PARITY_BATCH_SIZES, PARITY_NUM_WORKERS
-    ):
-        config = ExecutionConfig(batch_size=batch_size, num_workers=workers)
+    for seed, batch_size in itertools.product(PARITY_SEEDS, PARITY_BATCH_SIZES):
+        config = ExecutionConfig(batch_size=batch_size)
         digests = {}
         for kind, backend in backends.items():
             oracle = LabelColumnOracle(backend.column("label"), keep_log=True)
@@ -119,7 +116,7 @@ def run_parity(data_dir: Path, size: int, budget: int) -> dict:
         if len(set(digests.values())) != 1:
             raise AssertionError(
                 f"backend fingerprints diverged at cell (seed={seed}, "
-                f"batch_size={batch_size}, num_workers={workers}); "
+                f"batch_size={batch_size}); "
                 "out-of-core storage changed sampler results"
             )
         cells += 1
@@ -262,7 +259,7 @@ def main() -> int:
     if not args.skip_parity:
         print(
             f"verifying cross-backend fingerprints "
-            f"({len(PARITY_SEEDS) * len(PARITY_BATCH_SIZES) * len(PARITY_NUM_WORKERS)}"
+            f"({len(PARITY_SEEDS) * len(PARITY_BATCH_SIZES)}"
             f" cells x 3 backends) ..."
         )
         parity = run_parity(args.data_dir, args.parity_size, args.parity_budget)

@@ -25,7 +25,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis import LintEngine, default_rules, findings_to_json  # noqa: E402
+from repro.analysis.linter import LintEngine, default_rules, findings_to_json  # noqa: E402
 
 
 def _split(value):

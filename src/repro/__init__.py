@@ -37,15 +37,17 @@ Quickstart::
     result = sampler.estimate(budget=10_000, with_ci=True, seed=1)
     print(result.estimate, result.ci)
 
-Oracle evaluation runs through a batched, parallel execution engine
-(:mod:`repro.engine`, over :mod:`repro.core.batching` /
-:mod:`repro.core.parallel`): oracles exposing ``evaluate_batch`` label
-whole per-stratum draws in one vectorized invocation, optionally sharded
-across a worker pool.  Every sampler and the query executor take a
-``config`` (:class:`~repro.engine.config.ExecutionConfig`) carrying the
-physical knobs — ``batch_size`` (``None`` = whole-draw batches, ``1`` =
-strictly sequential), ``num_workers`` (``None`` = serial), backend,
-caching, rng and progress policies; results and oracle call counts are
+Oracle evaluation runs through a batched execution engine
+(:mod:`repro.engine`, over :mod:`repro.core.batching`): oracles exposing
+``evaluate_batch`` label whole per-stratum draws in one vectorized
+invocation.  Concurrent oracle calls have one mechanism: a blocking
+:class:`~repro.oracle.remote.AsyncOracle` spreads each batch over its
+:class:`~repro.oracle.remote.RemoteEndpoint`'s in-flight slots.  Every
+sampler and the query executor take a ``config``
+(:class:`~repro.engine.config.ExecutionConfig`) carrying the physical
+knobs — ``batch_size`` (``None`` = whole-draw batches, ``1`` = strictly
+sequential), the plan cache, rng and progress policies; results and
+oracle call counts are
 bit-identical for every setting, and sessions
 (:class:`~repro.engine.session.SamplingSession`) stream or resume the
 exact same execution.  See README.md, docs/ARCHITECTURE.md, docs/API.md
@@ -77,7 +79,7 @@ from repro.data import ChunkedBackend, DatasetBackend, InMemoryBackend, MmapBack
 from repro.engine import ExecutionConfig, SamplingPipeline, SamplingSession
 from repro.query import execute_query, parse_query
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "ABae",

@@ -13,40 +13,17 @@ Two halves:
   suites under instrumented locks and raises on lock-order cycles before
   they become production deadlocks.
 
+The package itself exports only the ``guarded_by`` /
+``guard_module_globals`` annotations, which every module with shared state
+imports; the linter and lockwatch are imported from their submodules, so
+``import repro`` never loads them.
+
 See docs/STATIC_ANALYSIS.md for the rule catalog and workflow.
 """
 
 from repro.analysis.annotations import guard_module_globals, guarded_by
-from repro.analysis.linter import (
-    FileContext,
-    Finding,
-    LintEngine,
-    Project,
-    Rule,
-    default_rules,
-    findings_to_json,
-    lint_tree,
-)
-from repro.analysis.lockwatch import (
-    LockOrderViolation,
-    LockWatcher,
-    WatchedLock,
-    active_watcher,
-)
 
 __all__ = [
-    "FileContext",
-    "Finding",
-    "LintEngine",
-    "LockOrderViolation",
-    "LockWatcher",
-    "Project",
-    "Rule",
-    "WatchedLock",
-    "active_watcher",
-    "default_rules",
-    "findings_to_json",
     "guard_module_globals",
     "guarded_by",
-    "lint_tree",
 ]

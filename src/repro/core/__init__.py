@@ -12,8 +12,8 @@ Public surface:
 * :mod:`~repro.core.multipred` — ABae-MultiPred (complex predicates);
 * :mod:`~repro.core.groupby` — ABae-GroupBy (single / multiple oracles);
 * :mod:`~repro.core.proxy_selection` — proxy ranking and combination;
-* :mod:`~repro.core.batching` / :mod:`~repro.core.parallel` — the batched,
-  worker-pool execution engine under every sampler's oracle hot path.
+* :mod:`~repro.core.batching` — the batched execution engine under every
+  sampler's oracle hot path.
 """
 
 from repro.core.abae import ABae, run_abae
@@ -48,14 +48,6 @@ from repro.core.multipred import (
     PredicateExpr,
     PredicateLeaf,
     run_abae_multipred,
-)
-from repro.core.parallel import (
-    ParallelOracle,
-    parallel_map,
-    parallelize_oracle,
-    resolve_num_workers,
-    shard_slices,
-    shutdown_worker_pools,
 )
 from repro.core.proxy_selection import (
     PilotSample,
@@ -101,12 +93,6 @@ __all__ = [
     "Or",
     "Not",
     "run_abae_multipred",
-    "ParallelOracle",
-    "parallel_map",
-    "parallelize_oracle",
-    "resolve_num_workers",
-    "shard_slices",
-    "shutdown_worker_pools",
     "PilotSample",
     "ProxyScore",
     "draw_pilot_sample",

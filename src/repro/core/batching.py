@@ -7,8 +7,8 @@ once.  This module concentrates the "draw a set of records, run the oracle
 over them, extract the statistic for the matches" step so that:
 
 * oracles exposing ``evaluate_batch`` (any :class:`repro.oracle.base.Oracle`
-  subclass, :class:`~repro.oracle.cache.CachingOracle`,
-  :class:`~repro.oracle.budget.BudgetedOracle`) are invoked once per batch;
+  subclass, :class:`~repro.oracle.budget.BudgetedOracle`) are invoked
+  once per batch;
 * plain ``record_index -> bool`` callables keep working via a per-record
   fallback loop;
 * statistics carrying a ``batch`` attribute (the array-backed adapter
@@ -22,12 +22,13 @@ Batching never touches the random stream — record *selection* stays with
 :func:`repro.stats.sampling.sample_without_replacement` — and oracle
 accounting advances through the same ``Oracle._record`` helper as
 sequential calls.  Therefore, for any ``batch_size`` (including the strict
-per-record path ``batch_size=1``) and any ``num_workers`` (batches are
-sharded across workers by :mod:`repro.core.parallel`, which reassembles
-answers in record order and accounts centrally), estimates, confidence
-intervals and ``num_calls`` are bit-identical under a fixed seed.  The
-equivalence harness in ``tests/harness.py`` pins this invariant across the
-full (seed × batch_size × num_workers) grid.
+per-record path ``batch_size=1``), estimates, confidence intervals and
+``num_calls`` are bit-identical under a fixed seed — also when the oracle
+is a blocking :class:`~repro.oracle.remote.AsyncOracle` that spreads each
+batch over its endpoint's in-flight slots, since it joins the answers in
+record order and records the batch once.  The equivalence harness in
+``tests/harness.py`` pins this invariant across the (seed × batch_size ×
+max_in_flight) grid.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ def label_records(
     ``None`` labels the whole draw set in one batch, ``1`` reproduces the
     legacy strictly-sequential ``oracle(i)`` path call for call, and any
     other positive integer chunks the work — a pure execution knob with
-    identical results and accounting for every setting.  Worker-pool
-    sharding composes from the outside: wrap the oracle once with
-    :func:`repro.core.parallel.parallelize_oracle` (as every sampler does
-    at entry) and each batch here fans out through its ``evaluate_batch``.
+    identical results and accounting for every setting.  Each batch goes
+    through the oracle's ``evaluate_batch``, so an oracle that overlaps
+    its calls (a blocking :class:`~repro.oracle.remote.AsyncOracle`) fans
+    out every batch here.
     """
     drawn = np.asarray(record_indices, dtype=np.int64)
     n = drawn.shape[0]

@@ -44,7 +44,6 @@ from repro.core.batching import (
     require_finite_statistic,
     statistic_batch,
 )
-from repro.core.parallel import parallelize_oracle
 from repro.engine.builders import exploit_continuation_pipeline
 from repro.engine.config import ExecutionConfig, resolve_execution_config
 from repro.oracle.base import evaluate_oracle_batch
@@ -299,8 +298,8 @@ def run_groupby_single_oracle(
 
     ``budget`` is the total number of oracle invocations.  Returns per-group
     estimates plus the Stage-2 allocation Λ chosen for each stratification.
-    ``config`` carries the execution knobs (oracle batching, worker-pool
-    sharding — see :mod:`repro.engine`).  No knob ever changes results.
+    ``config`` carries the execution knobs (oracle batching, plan cache —
+    see :mod:`repro.engine`).  No knob ever changes results.
     """
     config = resolve_execution_config(config, "run_groupby_single_oracle")
     batch_size = config.batch_size
@@ -310,9 +309,6 @@ def run_groupby_single_oracle(
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     rng = config.make_rng(rng)
-    oracle = parallelize_oracle(
-        oracle, config.num_workers, config.parallel_backend
-    )
     statistic_fn = _normalize_statistic(statistic)
     group_keys = [g.key for g in groups]
     num_groups = len(groups)

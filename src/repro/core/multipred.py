@@ -213,12 +213,12 @@ def run_abae_multipred(
     returned result counts *composite* evaluations (one per drawn record);
     ``details["constituent_oracle_calls"]`` reports the total calls made to
     the underlying per-predicate oracles, which is the cost a system paying
-    per constituent DNN would incur.  Batched and sharded execution
-    (via ``config``) preserve
-    the sequential path's short-circuit per-constituent call counts
-    exactly: the masked evaluation of :mod:`repro.oracle.composite`
-    consults each child per record independently of how records are chunked
-    or sharded, and constituent accounting is thread-safe.
+    per constituent DNN would incur.  Batched execution (via ``config``)
+    and leaves behind a blocking :class:`~repro.oracle.remote.AsyncOracle`
+    preserve the sequential path's short-circuit per-constituent call
+    counts exactly: the masked evaluation of :mod:`repro.oracle.composite`
+    consults each child per record independently of how records are
+    chunked or split, and constituent accounting is thread-safe.
     """
     pipeline = multipred_pipeline(
         expression=expression,
@@ -232,11 +232,8 @@ def run_abae_multipred(
         config=config,
     )
     result = pipeline.run(rng)
-    # The pipeline may have wrapped the composite oracle for sharding;
-    # constituent accounting lives on the inner composite either way.
-    composite_oracle = getattr(pipeline.oracle, "inner", pipeline.oracle)
-    if hasattr(composite_oracle, "total_children_calls"):
+    if hasattr(pipeline.oracle, "total_children_calls"):
         result.details["constituent_oracle_calls"] = (
-            composite_oracle.total_children_calls
+            pipeline.oracle.total_children_calls
         )
     return result

@@ -106,8 +106,8 @@ def stratification_cache_disabled():
     kept (and used again once the last disabler exits).  The scope is the
     *current thread*: nested contexts compose, and concurrent threads —
     e.g. other queries running with caching on — are unaffected.  Work a
-    disabled caller dispatches to worker threads itself (``parallel_map``)
-    is therefore not covered; open the context inside the task instead.
+    disabled caller dispatches to worker threads itself is therefore not
+    covered; open the context inside the task instead.
     """
     _CACHE_DISABLED.depth = getattr(_CACHE_DISABLED, "depth", 0) + 1
     try:

@@ -38,9 +38,9 @@ PathLike = Union[str, Path]
 class _ChunkCache:
     """Backend-wide LRU of resident chunks, shared across columns.
 
-    Keyed ``(column_name, chunk_index)``; thread-safe because parallel
-    oracle sharding (``num_workers``) gathers answer columns from worker
-    threads concurrently.
+    Keyed ``(column_name, chunk_index)``; thread-safe because a blocking
+    :class:`~repro.oracle.remote.AsyncOracle` runs its transport, which
+    gathers answer columns, on several endpoint threads at once.
     """
 
     def __init__(self, max_resident_chunks: int):

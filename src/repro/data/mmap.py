@@ -65,8 +65,8 @@ class MmapColumnHandle(ColumnHandle):
     def close(self) -> None:
         self._mmap = None
 
-    # The map itself cannot cross process boundaries; workers reopen the
-    # file lazily from the path (process-backend oracle sharding).
+    # The map itself cannot cross process boundaries; an unpickled copy
+    # reopens the file lazily from the path.
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_mmap"] = None

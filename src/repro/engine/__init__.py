@@ -2,8 +2,8 @@
 
 One engine under every sampler.  The layering is::
 
-    ExecutionConfig          how a run executes (batching, sharding,
-       |                     caching, seed policy, progress callbacks)
+    ExecutionConfig          how a run executes (batching, plan cache,
+       |                     seed policy, progress callbacks)
     SamplingPipeline         the stratify -> explore -> allocate ->
        |                     exploit -> estimate loop, owned once
     Allocation/Estimator     pluggable per-sampler strategies (two-stage,

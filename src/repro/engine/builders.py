@@ -8,7 +8,7 @@ These are the constructors behind the ``run_*`` wrappers in
 
     pipeline = two_stage_pipeline(
         proxy=scores, oracle=oracle, statistic=values, budget=10_000,
-        config=ExecutionConfig(batch_size=None, num_workers=4),
+        config=ExecutionConfig(batch_size=None),
     )
     session = pipeline.session(rng)
     while session.step():

@@ -1,11 +1,10 @@
 """Execution configuration: every physical knob of the sampling engine.
 
-PRs 1–3 grew the execution substrate knob by knob — ``batch_size`` (oracle
-batching), ``num_workers`` / ``parallel_backend`` (worker-pool sharding),
-``plan_cache`` (process-wide stratification reuse) — and threaded each one
-through every ``run_*`` signature, both facades, the query planner and the
-experiment runner by hand.  :class:`ExecutionConfig` collapses that
-four-knob threading into one validated value object:
+The execution substrate has two knobs — ``batch_size`` (oracle batching)
+and ``plan_cache`` (process-wide stratification reuse) — that once were
+threaded through every ``run_*`` signature, both facades, the query
+planner and the experiment runner by hand.  :class:`ExecutionConfig`
+collapses that threading into one validated value object:
 
 * every knob is validated **eagerly at construction**, through one shared
   error path (:class:`ExecutionConfigError`, a ``ValueError``), so a bad
@@ -15,9 +14,14 @@ four-knob threading into one validated value object:
   intervals and oracle call counts are bit-identical for every setting
   (the contract pinned by ``tests/harness.py``);
 * ``config=`` is the only way to set a knob: the per-function
-  ``batch_size`` / ``num_workers`` / ``parallel_backend`` / ``plan_cache``
-  kwargs were removed in 1.10, and :func:`resolve_execution_config` only
-  rejects a ``config`` that is not an :class:`ExecutionConfig`.
+  ``batch_size`` / ``plan_cache`` kwargs were removed in 1.10, and
+  :func:`resolve_execution_config` only rejects a ``config`` that is not
+  an :class:`ExecutionConfig`.
+
+Concurrent oracle calls are not a knob here: they belong to the oracle.
+A blocking :class:`~repro.oracle.remote.AsyncOracle` over a
+:class:`~repro.oracle.remote.RemoteEndpoint` spreads each batch over the
+endpoint's ``max_in_flight`` slots.
 
 The config also owns the two cross-cutting execution policies the old
 signatures could not express: the ``seed`` fallback used when a caller
@@ -32,7 +36,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.parallel import THREAD_BACKEND, resolve_backend, resolve_num_workers
 from repro.stats.rng import RandomState
 
 __all__ = [
@@ -79,11 +82,6 @@ class ExecutionConfig:
     batch_size:
         Records per oracle invocation batch (``None`` = whole per-stratum
         draws at once, ``1`` = the strictly sequential legacy path).
-    num_workers:
-        Worker-pool shards per oracle batch (``None`` = serial).
-    parallel_backend:
-        ``"thread"`` (oracles that release the GIL) or ``"process"``
-        (pure-Python picklable oracles); see :mod:`repro.core.parallel`.
     plan_cache:
         Whether execution may reuse the process-wide proxy-scores /
         stratification caches (see :mod:`repro.core.stratification`).
@@ -100,8 +98,6 @@ class ExecutionConfig:
     """
 
     batch_size: Optional[int] = None
-    num_workers: Optional[int] = None
-    parallel_backend: str = THREAD_BACKEND
     plan_cache: bool = True
     seed: Optional[int] = None
     progress: Optional[Callable[[ProgressEvent], None]] = None
@@ -127,17 +123,6 @@ class ExecutionConfig:
             )
         elif isinstance(self.batch_size, np.integer):
             object.__setattr__(self, "batch_size", int(self.batch_size))
-        try:
-            resolve_num_workers(self.num_workers)
-        except ValueError as exc:
-            yield str(exc)
-        else:
-            if isinstance(self.num_workers, np.integer):
-                object.__setattr__(self, "num_workers", int(self.num_workers))
-        try:
-            resolve_backend(self.parallel_backend)
-        except ValueError as exc:
-            yield str(exc)
         if not isinstance(self.plan_cache, bool):
             yield f"plan_cache must be a boolean, got {self.plan_cache!r}"
         if self.seed is not None and (

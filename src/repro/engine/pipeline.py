@@ -9,8 +9,8 @@ functions, each hand-threading the execution knobs.  This module owns the
 loop once.  A :class:`SamplingPipeline` wires together
 
 * a stratification (one or more strata of candidate record indices),
-* the oracle / statistic pair (wrapped once for batching and sharding,
-  per the :class:`~repro.engine.config.ExecutionConfig`),
+* the oracle / statistic pair (labeled in batches per the
+  :class:`~repro.engine.config.ExecutionConfig`),
 * an :class:`AllocationPolicy` — the strategy deciding, round by round,
   how many draws each stratum receives next (two-stage plug-in optimal,
   uniform, bandit-style sequential, until-CI-width, ...), and
@@ -28,8 +28,7 @@ harness pins.
 Determinism contract
 --------------------
 The pipeline inherits (and centralizes) the engine's standing contract:
-``batch_size`` / ``num_workers`` / ``parallel_backend`` / ``plan_cache``
-never change estimates, confidence intervals, per-stratum samples or
+``batch_size`` / ``plan_cache`` never change estimates, confidence intervals, per-stratum samples or
 oracle accounting.  Record selection consumes the session RNG through
 :func:`repro.stats.sampling.sample_without_replacement` in policy-defined
 round order; labeling never touches the stream.
@@ -44,7 +43,6 @@ import numpy as np
 
 from repro.core.batching import DEFAULT_BATCH_SIZE, label_records
 from repro.core.estimators import combine_estimates, estimate_all_strata
-from repro.core.parallel import parallelize_oracle
 from repro.core.results import ConfidenceInterval, EstimateResult
 from repro.core.stratification import Stratification
 from repro.core.types import StratumSample
@@ -165,10 +163,9 @@ def draw_stratum_sample(
     (``None`` = the whole draw in one batch, ``1`` = the strictly sequential
     legacy path); every setting yields bit-identical samples and oracle
     accounting because record selection happens before labeling and never
-    shares the random stream with it.  Worker-pool sharding is the
-    *caller's* concern: the pipeline wraps the oracle once with
-    :func:`repro.core.parallel.parallelize_oracle` before drawing, so the
-    sharding applies to every draw without per-call wrapping here.
+    shares the random stream with it.  Concurrent oracle calls are the
+    oracle's concern: a blocking :class:`~repro.oracle.remote.AsyncOracle`
+    spreads each batch over its endpoint's in-flight slots.
     """
     drawn = sample_without_replacement(candidate_indices, n, rng)
     matches, values = label_records(drawn, oracle, statistic, batch_size)
@@ -467,9 +464,7 @@ class SamplingPipeline:
                 "provide exactly one of stratification= or strata="
             )
         self.config = resolve_execution_config(config, "SamplingPipeline")
-        self.oracle = parallelize_oracle(
-            oracle, self.config.num_workers, self.config.parallel_backend
-        )
+        self.oracle = oracle
         self.statistic = normalize_statistic(statistic)
         self.policy = policy
         self.estimator = estimator

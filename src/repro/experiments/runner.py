@@ -91,7 +91,7 @@ def default_methods(
     """The standard method set: ABae and uniform (plus the lesion variant).
 
     ``execution`` is the shared :class:`~repro.engine.config.ExecutionConfig`
-    every trial runs under (batching / sharding / caching); it never
+    every trial runs under (batching / plan cache); it never
     changes a trial's result, only how fast the sweep finishes.
     """
     methods: Dict[str, MethodFn] = {

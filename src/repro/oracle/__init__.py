@@ -16,9 +16,6 @@ result (and, for group-by queries, a group key).  This package provides:
   used by ABae-MultiPred;
 * :mod:`~repro.oracle.groupkey` — oracles that return a group key (single
   oracle setting) or one binary oracle per group (multiple oracle setting);
-* :class:`~repro.oracle.cache.CachingOracle` — memoization so repeated
-  evaluation of the same record (e.g. sample reuse across stages) is only
-  charged once, matching how a real system would cache DNN outputs;
 * :mod:`~repro.oracle.remote` — the async RPC protocol for oracles that
   are remote services: :class:`~repro.oracle.remote.RemoteEndpoint`
   (batch coalescing, a concurrency limiter, timeouts, seeded retry
@@ -36,7 +33,6 @@ from repro.oracle.base import (
     evaluate_oracle_batch,
 )
 from repro.oracle.budget import BudgetedOracle, OracleBudget, OracleBudgetExceededError
-from repro.oracle.cache import CachingOracle
 from repro.oracle.remote import (
     AsyncOracle,
     PendingOracleBatch,
@@ -68,7 +64,6 @@ __all__ = [
     "OracleBudget",
     "OracleBudgetExceededError",
     "BudgetedOracle",
-    "CachingOracle",
     "LabelColumnOracle",
     "ThresholdOracle",
     "CallableOracle",

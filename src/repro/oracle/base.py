@@ -134,8 +134,8 @@ class Oracle(abc.ABC):
         self._num_calls = 0
         self._keep_log = keep_log
         self._log = ColumnarCallLog()
-        # Serializes `_record` so worker threads (repro.core.parallel) cannot
-        # lose counter updates.  Uncontended acquisition is ~100ns per batch,
+        # Serializes `_record` so endpoint worker threads (a transport under
+        # repro.oracle.remote.RemoteEndpoint) cannot lose counter updates.  Uncontended acquisition is ~100ns per batch,
         # negligible next to even a vectorized oracle evaluation.
         self._account_lock = threading.Lock()
 
@@ -190,9 +190,10 @@ class Oracle(abc.ABC):
         columnar: one bulk append per batch (O(1) amortized per record)
         instead of one object construction per record.  The helper is
         thread-safe:
-        composite oracles evaluated on worker threads (see
-        :mod:`repro.core.parallel`) account their children here
-        concurrently without losing updates.
+        transports evaluated on endpoint worker threads (see
+        :mod:`repro.oracle.remote`) account themselves, and composite
+        oracles their children, here concurrently without losing
+        updates.
         """
         count = len(record_indices)
         with self._account_lock:
@@ -233,9 +234,9 @@ class Oracle(abc.ABC):
             self._evaluate(i) for i in np.asarray(record_indices, dtype=np.int64).tolist()
         ]
 
-    # -- Pickling (process-backend parallel execution) ----------------------------
+    # -- Pickling ------------------------------------------------------------------
     def __getstate__(self):
-        """Locks are not picklable; drop it so oracles can ship to workers."""
+        """Locks are not picklable; drop it so oracles can be pickled."""
         state = self.__dict__.copy()
         state.pop("_account_lock", None)
         return state
@@ -314,8 +315,7 @@ def evaluate_oracle_batch(oracle: Callable[[int], object], record_indices) -> li
     """Evaluate any oracle-like callable on many records at once.
 
     Uses the oracle's :meth:`~Oracle.evaluate_batch` fast path when it
-    exists (any :class:`Oracle` subclass, :class:`CachingOracle`,
-    :class:`BudgetedOracle`, ...) and falls back to a per-record loop for
+    exists (any :class:`Oracle` subclass, :class:`BudgetedOracle`, ...) and falls back to a per-record loop for
     plain callables, so sampling code can batch unconditionally.
     """
     batch = getattr(oracle, "evaluate_batch", None)

@@ -100,11 +100,9 @@ class BudgetedOracle:
 
     This is what the query executor hands to the sampling algorithm: the
     algorithm can call the oracle freely and the wrapper guarantees the
-    ORACLE LIMIT is honoured.  An optional cache-aware mode lets repeated
-    evaluations of the same record go uncharged (see
-    :class:`repro.oracle.cache.CachingOracle`, which should wrap *inside*
-    the budget when the system wants cached hits charged, or *outside* when
-    it does not).
+    ORACLE LIMIT is honoured.  It charges every record it is asked about;
+    to charge only records that were actually labeled, put a cache such as
+    :class:`repro.serve.cache.SharedCachingOracle` *outside* it.
     """
 
     def __init__(self, oracle, budget: OracleBudget):

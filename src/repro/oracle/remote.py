@@ -26,9 +26,14 @@ Three pieces:
   the answers aligned with the submitted records or raises the terminal
   error.
 * :class:`AsyncOracle` — the :class:`~repro.oracle.base.Oracle` adapter.
-  In **blocking** mode (the default) ``evaluate_batch`` submits, flushes
-  and waits — a drop-in oracle whose callers simply tolerate retries.  In
-  **cooperative** mode (``blocking=False``) a not-yet-ready batch raises
+  In **blocking** mode (the default) ``evaluate_batch`` splits the batch
+  into ``min(max_in_flight, n)`` contiguous sub-requests (see
+  :func:`shard_slices`), flushes, and waits — a drop-in oracle whose
+  callers simply tolerate retries, and whose batches spread over the
+  endpoint's in-flight slots.  This is the one mechanism for concurrent
+  oracle calls: an in-process oracle gains the same overlap by being
+  wrapped as the endpoint's transport.  In **cooperative** mode
+  (``blocking=False``) a not-yet-ready batch raises
   :class:`PendingOracleBatch` instead of waiting; the sampling session
   catches it, rewinds its RNG, and the serving scheduler parks the query
   in ``WAITING`` and steps *other* queries while the batch is in flight.
@@ -46,9 +51,13 @@ session RNG only for record selection, the session restores that state
 before re-raising, and the retried step re-selects the *same* records
 (``tests/test_serve_remote.py`` pins this on the fingerprint grid).
 
+Splitting is positional, never temporal: the sub-requests depend only on
+``(n, max_in_flight)``, their answers are joined in record order, and the
+batch is recorded once on the calling thread, so a blocking batch's
+answers and accounting are identical for every ``max_in_flight``.
+
 Cooperative mode is single-caller by design (one sampling session drives
-one ``AsyncOracle``); pair it with ``num_workers=1`` — the endpoint's
-worker pool, not the engine's, provides the parallelism.
+one ``AsyncOracle``).
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +84,28 @@ __all__ = [
     "RemoteTicket",
     "RemoteEndpoint",
     "AsyncOracle",
+    "shard_slices",
 ]
+
+
+def shard_slices(total: int, num_shards: int) -> Iterator[slice]:
+    """Split ``range(total)`` into at most ``num_shards`` contiguous slices.
+
+    Shard sizes differ by at most one and depend only on ``(total,
+    num_shards)``, never on timing or worker availability.  Empty shards
+    are not yielded; ``total == 0`` yields nothing.
+    """
+    if num_shards < 1:
+        raise ValueError(f"num_shards must be positive, got {num_shards}")
+    if total <= 0:
+        return
+    shards = min(num_shards, total)
+    base, extra = divmod(total, shards)
+    start = 0
+    for i in range(shards):
+        size = base + (1 if i < extra else 0)
+        yield slice(start, start + size)
+        start += size
 
 
 class RemoteCallError(RuntimeError):
@@ -660,8 +690,15 @@ class AsyncOracle(Oracle):
     retries and timeouts live entirely inside the endpoint and surface
     only through :meth:`remote_stats`.
 
-    ``blocking=True`` (default): ``evaluate_batch`` submits, flushes and
-    waits — usable anywhere an oracle is.  ``blocking=False``
+    ``blocking=True`` (default): ``evaluate_batch`` submits the batch as
+    ``min(max_in_flight, n)`` contiguous sub-requests, flushes, waits on
+    every ticket, and joins the answers in record order — usable anywhere
+    an oracle is.  The endpoint's coalescing still merges pieces up to
+    ``max_batch_size``, so a batch that fits makes one transport call; a
+    larger one runs on up to ``max_in_flight`` worker threads at once.
+    The joined answers have the type one unsplit ticket returns (an array
+    for an array-returning transport, else a list), and the batch is
+    recorded once.  ``blocking=False``
     (cooperative): a not-yet-ready batch raises
     :class:`PendingOracleBatch`; the caller retries the *identical*
     request later (the sampling session guarantees this by rewinding its
@@ -671,8 +708,7 @@ class AsyncOracle(Oracle):
     buffer and replayed — without double accounting — until the session
     signals the step completed via :meth:`step_boundary`.
 
-    Cooperative mode is strictly single-caller (one session); use
-    ``num_workers=1`` and let the endpoint's pool provide parallelism.
+    Cooperative mode is strictly single-caller (one session).
     """
 
     def __init__(
@@ -718,12 +754,27 @@ class AsyncOracle(Oracle):
     def evaluate_batch(self, record_indices: Sequence[int]):
         idx = np.asarray(record_indices, dtype=np.int64)
         if self._blocking:
-            ticket = self.endpoint.submit(idx)
-            ticket.wait()
-            results = ticket.result()
+            results = self._evaluate_blocking(idx)
             self._record(idx, results)
             return results
         return self._evaluate_cooperative(idx)
+
+    def _evaluate_blocking(self, idx: np.ndarray):
+        endpoint = self.endpoint
+        tickets = [
+            endpoint.submit(idx[piece])
+            for piece in shard_slices(idx.shape[0], endpoint.max_in_flight)
+        ] or [endpoint.submit(idx)]
+        # The first wait flushes every queued piece; the rest only wait.
+        for ticket in tickets:
+            ticket.wait()
+        # result() raises a failed piece's terminal error, in record order.
+        pieces = [ticket.result() for ticket in tickets]
+        if len(pieces) == 1:
+            return pieces[0]
+        if isinstance(pieces[0], np.ndarray):
+            return np.concatenate(pieces)
+        return [answer for piece in pieces for answer in piece]
 
     def _evaluate_cooperative(self, idx: np.ndarray):
         key = idx.tobytes()

@@ -256,7 +256,7 @@ class SimulatedRemoteOracle(PredicateOracle):
     bit-identical to a zero-failure run.  Only time changes.  That makes
     this the honest workload for the retry/timeout machinery of
     :class:`~repro.oracle.remote.RemoteEndpoint` and for measuring the
-    batched / parallel / cooperative execution engines.
+    batched, blocking-remote and cooperative execution paths.
     """
 
     def __init__(
@@ -352,7 +352,7 @@ class SimulatedRemoteOracle(PredicateOracle):
 class LatencyOracle(SimulatedRemoteOracle):
     """A never-failing :class:`SimulatedRemoteOracle` (latency only).
 
-    Kept as the workload for the batched / parallel engine benchmarks,
+    Kept as the workload for the batching and remote-endpoint benchmarks,
     with its original positional signature: results never change, only
     time does.
     """

@@ -308,8 +308,7 @@ def execute_query(
 
     ``config`` is recorded on the plan and carries every physical
     execution knob: how many records each oracle invocation batch labels
-    (``None`` = whole draw sets at once, ``1`` = strictly sequential), how
-    many workers each batch is sharded across (``None`` = serial), and
+    (``None`` = whole draw sets at once, ``1`` = strictly sequential) and
     whether execution may reuse the process-wide proxy-scores /
     stratification caches across repeated queries (``plan_cache``, default
     on).  ``backend`` is the dataset-backend hint (validated at planning
@@ -396,8 +395,8 @@ class PreparedQuery:
         """
         if self.plan_kind is PlanKind.MULTI_PREDICATE:
             # Mirror run_abae_multipred: constituent accounting lives on
-            # the (possibly sharding-wrapped) composite oracle.
-            composite = getattr(self.pipeline.oracle, "inner", self.pipeline.oracle)
+            # the composite oracle.
+            composite = self.pipeline.oracle
             if hasattr(composite, "total_children_calls"):
                 result.details["constituent_oracle_calls"] = (
                     composite.total_children_calls

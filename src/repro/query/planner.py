@@ -44,8 +44,8 @@ class QueryPlan:
     """The chosen execution strategy plus per-plan annotations.
 
     ``config`` is the plan's physical-execution half: how many records the
-    executor labels per oracle invocation batch, how many workers each
-    batch is sharded across, whether execution may reuse the process-wide
+    executor labels per oracle invocation batch, whether execution may
+    reuse the process-wide
     stratification caches, and the rng / progress policies (see
     :class:`~repro.engine.config.ExecutionConfig`).  All of it is purely
     physical — estimates, CIs and call counts are bit-identical for every

@@ -3,9 +3,9 @@
 A serving deployment answers many concurrent queries over the same
 datasets, and different users routinely apply the *same* expensive
 predicate (the same DNN, the same labeling endpoint) to overlapping
-record sets.  :class:`~repro.oracle.cache.CachingOracle` dedupes repeated
-evaluations *within one query*; this module generalizes it into a
-**process-wide store keyed by (oracle identity, record index)** so the
+record sets.  This module dedupes oracle answers in a **process-wide
+store keyed by (oracle identity, record index)**, within one query and
+across queries, so the
 second query that needs ``count_cars(frame 1234)`` gets the first query's
 answer for free.
 
@@ -248,13 +248,11 @@ class SharedOracleCache:
 class SharedCachingOracle(Oracle):
     """An oracle view onto a :class:`SharedOracleCache`.
 
-    The per-query generalization of
-    :class:`~repro.oracle.cache.CachingOracle`: each query wraps its oracle
-    in one of these, and every wrapper sharing a ``(store, identity)`` pair
-    dedupes against the same answers.  Counter semantics match
-    ``CachingOracle`` exactly — this wrapper's ``num_calls`` counts the
-    records *this query* actually paid to label (its misses); hits are
-    free, whether they were filled by this query or by another tenant's.
+    Each query wraps its oracle in one of these, and every wrapper sharing
+    a ``(store, identity)`` pair dedupes against the same answers.  This
+    wrapper's ``num_calls`` counts the records *this query* actually paid
+    to label (its misses); hits are free, whether they were filled by this
+    query or by another tenant's.
     """
 
     def __init__(

@@ -389,9 +389,9 @@ class CooperativeScheduler:
 
     The scheduler is cooperative and single-threaded: one ``step_once()``
     runs exactly one session step on the calling thread.  Concurrency here
-    means *interleaved progress*, not parallelism — oracle batches inside
-    a step may still fan out across the engine's worker pools, and a
-    cooperative remote oracle's in-flight batches overlap with other
+    means *interleaved progress*, not parallelism — a blocking remote
+    oracle's batch inside a step may still fan out over its endpoint's
+    in-flight slots, and a cooperative remote oracle's in-flight batches overlap with other
     queries' steps (see the module docstring).
 
     ``retain_settled`` bounds memory in a long-running service: settled

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["RandomState", "spawn_children", "spawn_shard_streams", "derive_seed"]
+__all__ = ["RandomState", "spawn_children", "derive_seed"]
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 
@@ -121,27 +121,6 @@ class RandomState:
 def spawn_children(seed: SeedLike, n: int) -> List[RandomState]:
     """Spawn ``n`` independent :class:`RandomState` objects from a seed."""
     return RandomState(seed).spawn(n)
-
-
-def spawn_shard_streams(seed: SeedLike, num_shards: int) -> List[RandomState]:
-    """Independent per-shard random streams for parallel execution.
-
-    The determinism contract of :mod:`repro.core.parallel` requires that
-    randomness be keyed by *shard position*, never by worker identity or
-    completion order: shard ``i`` always receives the ``i``-th child of the
-    base seed (via ``numpy.random.SeedSequence.spawn``), so results are
-    bit-identical whether the shards run on 1 worker or 16, in any order.
-
-    Use this instead of handing one shared generator to concurrent tasks —
-    a shared generator's consumption order depends on scheduling, which
-    silently breaks reproducibility.  Mechanically this is
-    :func:`spawn_children` under a name that states the parallel-execution
-    contract; keep calling it from sharded code paths so the intent reads
-    at the call site.
-    """
-    if num_shards < 0:
-        raise ValueError(f"num_shards must be non-negative, got {num_shards}")
-    return spawn_children(seed, num_shards)
 
 
 def derive_seed(seed: SeedLike, *labels: Sequence) -> int:

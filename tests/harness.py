@@ -1,19 +1,25 @@
 """Statistical-equivalence test harness.
 
-The execution engine's contract is that its performance knobs —
-``batch_size`` (oracle batching, PR 1) and ``num_workers`` (worker-pool
-sharding) — never change results: under a fixed seed, estimates,
-confidence intervals, per-stratum samples and oracle accounting must be
-**bit-identical** across every knob setting.
+The execution engine's contract is that its performance knobs never
+change results: under a fixed seed, estimates, confidence intervals,
+per-stratum samples and oracle accounting must be **bit-identical** for
+every ``batch_size`` (oracle batching) and whether the oracle is called
+directly or through a blocking :class:`~repro.oracle.remote.AsyncOracle`
+that spreads each batch over ``max_in_flight`` endpoint slots.
 
 This module turns that contract into a reusable assertion.  A test
-supplies a *cell runner* — a callable ``run(seed, batch_size,
-num_workers) -> result`` that builds a fresh oracle and runs one sampler
-— and the harness executes it over the full ``seeds × batch_sizes ×
-num_workers`` grid, fingerprints every result, and fails with the exact
-divergent cell if any two fingerprints differ for the same seed.  It also
-asserts that *different* seeds produce *different* fingerprints (a grid
-where every cell returns the same constant would vacuously "pass").
+supplies a *cell runner* — a callable ``run(seed, batch_size, wrap) ->
+result`` that builds fresh oracles, passes each through ``wrap``, and
+runs one sampler — and the harness executes it over the full ``seeds ×
+batch_sizes × max_in_flight`` grid.  ``wrap`` is the cell's oracle
+factory (see :class:`EndpointCell`): for ``max_in_flight=None`` it returns
+the oracle itself, otherwise the oracle becomes the transport of its own
+endpoint.  The harness fingerprints every result together with each
+oracle's ``num_calls`` (adapter and transport), and fails with the exact
+divergent cell if any two fingerprints differ for the same seed.  It
+also asserts that *different* seeds produce *different* fingerprints (a
+grid where every cell returns the same constant would vacuously
+"pass").
 
 Fingerprints use ``repr`` of plain tuples built from the result, so a
 mismatch in any float's last bit is caught — this is deliberately exact
@@ -23,13 +29,13 @@ Usage::
 
     from harness import assert_statistically_equivalent, estimate_fingerprint
 
-    def run(seed, batch_size, num_workers):
-        oracle = scenario.make_oracle()
-        return run_abae(..., rng=RandomState(seed),
-                        batch_size=batch_size, num_workers=num_workers)
+    def run(seed, batch_size, wrap):
+        return run_abae(..., wrap(scenario.make_oracle()), ...,
+                        rng=RandomState(seed),
+                        config=ExecutionConfig(batch_size=batch_size))
 
     assert_statistically_equivalent(run, seeds=(0, 1), batch_sizes=(1, 7, None),
-                                    num_workers=(1, 2, 4))
+                                    max_in_flight=(None, 1, 2, 4))
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import numpy as np
 
 DEFAULT_SEEDS = (0,)
 DEFAULT_BATCH_SIZES = (1, 7, None)
-DEFAULT_NUM_WORKERS = (1, 2, 4)
+DEFAULT_MAX_IN_FLIGHT = (None,)
 
 # Entropy for the derandomized wide-grid seed list.  Fixed forever: the
 # wide tier-2 grids draw their seeds from this spawn key, so every run —
@@ -240,36 +246,97 @@ class EquivalenceReport:
         return self.fingerprints[seed]
 
 
+class EndpointCell:
+    """The oracles of one grid cell, and their exact call accounting.
+
+    ``wrap(oracle)`` returns ``oracle`` itself when ``max_in_flight`` is
+    ``None`` (the plain-oracle baseline); otherwise it makes ``oracle``
+    the transport of a fresh :class:`~repro.oracle.remote.RemoteEndpoint`
+    with that many in-flight slots and returns a blocking
+    :class:`~repro.oracle.remote.AsyncOracle` over it, which keeps a call
+    log when the oracle does (the adapter's log is in record order; the
+    transport's follows completion order).  After the run,
+    :meth:`accounting` asserts every adapter charged
+    exactly what its transport evaluated, and digests the counts so they
+    are compared across cells like the result itself.  Call
+    :meth:`close` once the run is over.
+    """
+
+    # Small enough that a whole-draw batch's pieces launch as separate
+    # transport calls on separate threads, while the pieces of a small
+    # batch still coalesce into one.
+    MAX_BATCH_SIZE = 16
+
+    def __init__(self, max_in_flight: Optional[int]):
+        self.max_in_flight = max_in_flight
+        self.pairs = []
+        self.endpoints = []
+
+    def wrap(self, oracle):
+        if self.max_in_flight is None:
+            self.pairs.append((oracle, oracle))
+            return oracle
+        from repro.oracle.remote import AsyncOracle, RemoteEndpoint
+
+        endpoint = RemoteEndpoint(
+            oracle,
+            max_in_flight=self.max_in_flight,
+            max_batch_size=self.MAX_BATCH_SIZE,
+        )
+        adapter = AsyncOracle(endpoint, keep_log=getattr(oracle, "_keep_log", False))
+        self.endpoints.append(endpoint)
+        self.pairs.append((adapter, oracle))
+        return adapter
+
+    def close(self) -> None:
+        for endpoint in self.endpoints:
+            endpoint.close()
+
+    def accounting(self) -> str:
+        counts = [(a.num_calls, t.num_calls) for a, t in self.pairs]
+        for adapter_calls, transport_calls in counts:
+            assert adapter_calls == transport_calls, (
+                f"max_in_flight={self.max_in_flight}: adapter charged "
+                f"{adapter_calls} calls, transport evaluated {transport_calls}"
+            )
+        return repr(counts)
+
+
 def run_equivalence_grid(
-    run_cell: Callable[[int, Optional[int], int], object],
+    run_cell: Callable[[int, Optional[int], Callable], object],
     seeds: Sequence[int] = DEFAULT_SEEDS,
     batch_sizes: Sequence[Optional[int]] = DEFAULT_BATCH_SIZES,
-    num_workers: Sequence[int] = DEFAULT_NUM_WORKERS,
+    max_in_flight: Sequence[Optional[int]] = DEFAULT_MAX_IN_FLIGHT,
     fingerprint: Callable[[object], str] = estimate_fingerprint,
 ) -> EquivalenceReport:
-    """Run every (seed, batch_size, num_workers) cell and compare digests.
+    """Run every (seed, batch_size, max_in_flight) cell and compare digests.
 
-    ``run_cell`` must construct fresh state per call (in particular a fresh
-    oracle, so accounting starts at zero) and return the sampler's result.
-    Raises ``AssertionError`` naming the first divergent cell and seed.
+    ``run_cell(seed, batch_size, wrap)`` must construct fresh state per
+    call (in particular fresh oracles, each passed through ``wrap``, so
+    accounting starts at zero) and return the sampler's result.  Raises
+    ``AssertionError`` naming the first divergent cell and seed.
     """
     fingerprints: Dict[int, str] = {}
     cells = 0
     for seed in seeds:
         baseline: Optional[str] = None
         baseline_cell: Optional[Tuple] = None
-        for batch_size, workers in itertools.product(batch_sizes, num_workers):
-            result = run_cell(seed, batch_size, workers)
-            digest = fingerprint(result)
+        for batch_size, in_flight in itertools.product(batch_sizes, max_in_flight):
+            cell = EndpointCell(in_flight)
+            try:
+                result = run_cell(seed, batch_size, cell.wrap)
+            finally:
+                cell.close()
+            digest = fingerprint(result) + cell.accounting()
             cells += 1
             if baseline is None:
-                baseline, baseline_cell = digest, (batch_size, workers)
+                baseline, baseline_cell = digest, (batch_size, in_flight)
             elif digest != baseline:
                 raise AssertionError(
                     f"results diverged for seed {seed}: cell "
-                    f"(batch_size={batch_size}, num_workers={workers}) != "
+                    f"(batch_size={batch_size}, max_in_flight={in_flight}) != "
                     f"baseline cell (batch_size={baseline_cell[0]}, "
-                    f"num_workers={baseline_cell[1]})\n"
+                    f"max_in_flight={baseline_cell[1]})\n"
                     f"baseline: {baseline}\n"
                     f"     got: {digest}"
                 )
@@ -353,10 +420,10 @@ def scheduled_fingerprints(
 
 
 def assert_statistically_equivalent(
-    run_cell: Callable[[int, Optional[int], int], object],
+    run_cell: Callable[[int, Optional[int], Callable], object],
     seeds: Sequence[int] = DEFAULT_SEEDS,
     batch_sizes: Sequence[Optional[int]] = DEFAULT_BATCH_SIZES,
-    num_workers: Sequence[int] = DEFAULT_NUM_WORKERS,
+    max_in_flight: Sequence[Optional[int]] = DEFAULT_MAX_IN_FLIGHT,
     fingerprint: Callable[[object], str] = estimate_fingerprint,
     expect_seed_sensitivity: bool = True,
 ) -> EquivalenceReport:
@@ -371,7 +438,7 @@ def assert_statistically_equivalent(
         run_cell,
         seeds=seeds,
         batch_sizes=batch_sizes,
-        num_workers=num_workers,
+        max_in_flight=max_in_flight,
         fingerprint=fingerprint,
     )
     if expect_seed_sensitivity and len(seeds) > 1:

@@ -5,8 +5,9 @@ per-record list of call records.  Its contract is that its entries are
 *element-wise identical* — same order, same record indices, same results,
 same costs — to what the legacy per-record append implementation
 produced, for every execution
-engine: sequential scalar calls, whole-batch evaluation, worker-pool
-sharding, composite short-circuit evaluation, caching and budget wrappers.
+engine: sequential scalar calls, whole-batch evaluation, a blocking
+remote adapter that splits each batch over its endpoint's in-flight
+slots, composite short-circuit evaluation and the budget wrapper.
 
 The tests pin that in two ways:
 
@@ -15,7 +16,7 @@ The tests pin that in two ways:
   oracles are driven through identical operations and their logs
   compared entry by entry;
 * the **equivalence harness** runs full samplers over the (seed x
-  batch_size x num_workers) grid with an accounting-aware fingerprint, so
+  batch_size x max_in_flight) grid with an accounting-aware fingerprint, so
   any divergence in counters or log content across execution knobs fails
   with the exact cell.
 """
@@ -33,12 +34,11 @@ from harness import (
 )
 
 from repro.core.abae import run_abae
-from repro.core.parallel import ParallelOracle
 from repro.engine.config import ExecutionConfig
 from repro.oracle.base import ColumnarCallLog
 from repro.oracle.budget import BudgetedOracle, OracleBudget
-from repro.oracle.cache import CachingOracle
 from repro.oracle.composite import AndOracle, NotOracle, OrOracle
+from repro.oracle.remote import AsyncOracle, RemoteEndpoint
 from repro.oracle.simulated import LabelColumnOracle
 from repro.stats.rng import RandomState
 
@@ -114,22 +114,21 @@ class TestColumnarMatchesLegacy:
         _drive(legacy)
         _assert_logs_identical(oracle, legacy)
 
-    @pytest.mark.parametrize("num_workers", [2, 4])
-    def test_parallel_merge_path(self, labels, num_workers):
-        columnar = ParallelOracle(
-            LabelColumnOracle(labels, keep_log=True),
-            num_workers=num_workers,
-            min_sharded_records=8,
+    @pytest.mark.parametrize("max_in_flight", [2, 4])
+    def test_parallel_merge_path(self, labels, max_in_flight):
+        # The blocking adapter records each split batch once, in record
+        # order, so its log matches the serial legacy oracle's exactly.
+        transport = LabelColumnOracle(labels)
+        endpoint = RemoteEndpoint(
+            transport, max_in_flight=max_in_flight, max_batch_size=8
         )
-        legacy = ParallelOracle(
-            LegacyLabelOracle(labels, keep_log=True),
-            num_workers=num_workers,
-            min_sharded_records=8,
-        )
+        columnar = AsyncOracle(endpoint, keep_log=True)
+        legacy = LegacyLabelOracle(labels, keep_log=True)
         _drive(columnar)
         _drive(legacy)
-        assert columnar.inner.num_calls == legacy.inner.num_calls
-        _assert_logs_identical(columnar.inner, legacy.inner)
+        endpoint.close()
+        assert transport.num_calls == legacy.num_calls
+        _assert_logs_identical(columnar, legacy)
 
     @pytest.mark.parametrize("combinator", [AndOracle, OrOracle])
     def test_composite_children(self, labels, combinator):
@@ -156,15 +155,6 @@ class TestColumnarMatchesLegacy:
         _drive(NotOracle(legacy_child))
         _assert_logs_identical(columnar_child, legacy_child)
 
-    def test_caching_oracle_inner_log(self, labels):
-        columnar = CachingOracle(LabelColumnOracle(labels, keep_log=True))
-        legacy = CachingOracle(LegacyLabelOracle(labels, keep_log=True))
-        _drive(columnar)
-        _drive(legacy)
-        assert columnar.hits == legacy.hits
-        assert columnar.misses == legacy.misses
-        _assert_logs_identical(columnar.inner, legacy.inner)
-
     def test_budgeted_oracle_passthrough(self, labels):
         budget_a, budget_b = OracleBudget(1000), OracleBudget(1000)
         columnar = BudgetedOracle(LabelColumnOracle(labels, keep_log=True), budget_a)
@@ -188,8 +178,8 @@ class TestAccountingAcrossExecutionGrid:
         )
         statistic = rng.random(600) * 10
 
-        def run_cell(seed, batch_size, num_workers):
-            oracle = LabelColumnOracle(labels, keep_log=True)
+        def run_cell(seed, batch_size, wrap):
+            oracle = wrap(LabelColumnOracle(labels, keep_log=True))
             result = run_abae(
                 proxy=scores,
                 oracle=oracle,
@@ -197,7 +187,7 @@ class TestAccountingAcrossExecutionGrid:
                 budget=150,
                 num_strata=4,
                 rng=RandomState(seed),
-                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
+                config=ExecutionConfig(batch_size=batch_size),
             )
             return result, oracle
 
@@ -211,7 +201,7 @@ class TestAccountingAcrossExecutionGrid:
             run_cell,
             seeds=(0, 1),
             batch_sizes=(1, 7, None),
-            num_workers=(1, 2),
+            max_in_flight=(None, 2),
             fingerprint=fingerprint,
         )
         assert report.cells == 12

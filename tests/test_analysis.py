@@ -12,15 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    LintEngine,
-    LockOrderViolation,
-    LockWatcher,
-    findings_to_json,
-    guard_module_globals,
-    guarded_by,
-    lint_tree,
-)
+from repro.analysis import guard_module_globals, guarded_by
+from repro.analysis.linter import LintEngine, findings_to_json, lint_tree
+from repro.analysis.lockwatch import LockOrderViolation, LockWatcher
 from repro.analysis.annotations import GUARDED_ATTR
 from repro.clock import ManualClock, monotonic
 

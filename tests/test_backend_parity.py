@@ -8,8 +8,8 @@ from RAM (``InMemoryBackend``), memory-mapped from disk
 (``MmapBackend``), or read through the chunked LRU (``ChunkedBackend``)
 — and identical to the historical raw-array paths.
 
-Each test runs the PR-2 equivalence harness grid (seeds x batch_sizes x
-num_workers) once per backend and compares the per-seed fingerprints
+Each test runs the equivalence harness grid (seeds x batch_sizes x
+max_in_flight) once per backend and compares the per-seed fingerprints
 across backends; the fast tier covers a reduced grid, the ``slow`` tier
 the full one.
 """
@@ -39,11 +39,13 @@ from repro.stats.rng import RandomState
 from repro.synth import make_dataset, to_backend
 
 SIZE = 4000
-FAST_GRID = dict(seeds=(0, 1), batch_sizes=(1, None), num_workers=(1, 2))
+# max_in_flight=2 runs the oracle behind a blocking endpoint, so chunked
+# answer columns are gathered from two endpoint threads at once.
+FAST_GRID = dict(seeds=(0, 1), batch_sizes=(1, None), max_in_flight=(None, 2))
 # The wide (tier-2) grid draws its seeds from the shared spawn-key list in
 # tests/harness.py — fixed, well-separated, identical in every run.
 WIDE_GRID = dict(
-    seeds=WIDE_GRID_SEEDS, batch_sizes=(1, 7, None), num_workers=(1, 2, 4)
+    seeds=WIDE_GRID_SEEDS, batch_sizes=(1, 7, None), max_in_flight=(None, 1, 2, 4)
 )
 
 QUERY = (
@@ -111,8 +113,9 @@ def assert_backends_equivalent(backends, make_cell, grid, fingerprint):
 class TestTwoStageParity:
     def make_cell(self, scenario):
         def factory(backend):
-            def run_cell(seed, batch_size, workers):
+            def run_cell(seed, batch_size, wrap):
                 proxy, oracle, statistic = sampler_inputs(scenario, backend)
+                oracle = wrap(oracle)
                 result = run_abae(
                     proxy,
                     oracle,
@@ -121,9 +124,7 @@ class TestTwoStageParity:
                     with_ci=True,
                     num_bootstrap=50,
                     rng=RandomState(seed),
-                    config=ExecutionConfig(
-                        batch_size=batch_size, num_workers=workers
-                    ),
+                    config=ExecutionConfig(batch_size=batch_size),
                 )
                 return result, oracle
 
@@ -152,17 +153,16 @@ class TestTwoStageParity:
 class TestUniformParity:
     def test_fast_grid(self, scenario, backends):
         def factory(backend):
-            def run_cell(seed, batch_size, workers):
+            def run_cell(seed, batch_size, wrap):
                 _, oracle, statistic = sampler_inputs(scenario, backend)
+                oracle = wrap(oracle)
                 result = run_uniform(
                     SIZE,
                     oracle,
                     statistic,
                     budget=300,
                     rng=RandomState(seed),
-                    config=ExecutionConfig(
-                        batch_size=batch_size, num_workers=workers
-                    ),
+                    config=ExecutionConfig(batch_size=batch_size),
                 )
                 return result, oracle
 
@@ -176,8 +176,9 @@ class TestUniformParity:
 class TestSequentialParity:
     def test_fast_grid(self, scenario, backends):
         def factory(backend):
-            def run_cell(seed, batch_size, workers):
+            def run_cell(seed, batch_size, wrap):
                 proxy, oracle, statistic = sampler_inputs(scenario, backend)
+                oracle = wrap(oracle)
                 result = run_abae_sequential(
                     proxy,
                     oracle,
@@ -185,9 +186,7 @@ class TestSequentialParity:
                     budget=300,
                     warmup_per_stratum=10,
                     rng=RandomState(seed),
-                    config=ExecutionConfig(
-                        batch_size=batch_size, num_workers=workers
-                    ),
+                    config=ExecutionConfig(batch_size=batch_size),
                 )
                 return result, oracle
 
@@ -237,11 +236,13 @@ class TestGroupByParityWithBackedKeys:
         keys_obj, proxies, path = setup
 
         def factory(key_source):
-            def run_cell(seed, batch_size, workers):
-                oracle = GroupKeyOracle(
-                    key_source() if callable(key_source) else key_source,
-                    groups=self.GROUPS,
-                    none_value="",
+            def run_cell(seed, batch_size, wrap):
+                oracle = wrap(
+                    GroupKeyOracle(
+                        key_source() if callable(key_source) else key_source,
+                        groups=self.GROUPS,
+                        none_value="",
+                    )
                 )
                 return run_groupby_single_oracle(
                     [GroupSpec(key=g, proxy=proxies[g]) for g in self.GROUPS],
@@ -249,9 +250,7 @@ class TestGroupByParityWithBackedKeys:
                     scenario.statistic_values,
                     budget=400,
                     rng=RandomState(seed),
-                    config=ExecutionConfig(
-                        batch_size=batch_size, num_workers=workers
-                    ),
+                    config=ExecutionConfig(batch_size=batch_size),
                 )
 
             return run_cell
@@ -285,13 +284,13 @@ class TestGroupByParityWithBackedKeys:
 class TestQueryLayerParity:
     def test_execute_query_fast_grid(self, scenario, backends):
         def factory(backend):
-            def run_cell(seed, batch_size, workers):
+            def run_cell(seed, batch_size, wrap):
                 if backend is None:
                     context = QueryContext(SIZE)
                     context.register_statistic("stat", scenario.statistic_values)
                     context.register_predicate(
                         "match",
-                        LabelColumnOracle(scenario.labels),
+                        wrap(LabelColumnOracle(scenario.labels)),
                         scenario.proxy.scores(),
                     )
                 else:
@@ -299,7 +298,7 @@ class TestQueryLayerParity:
                     context.register_statistic("stat", "statistic")
                     context.register_predicate(
                         "match",
-                        LabelColumnOracle(backend.column("label")),
+                        wrap(LabelColumnOracle(backend.column("label"))),
                         "proxy_score",
                     )
                 return execute_query(
@@ -307,9 +306,7 @@ class TestQueryLayerParity:
                     context,
                     seed=seed,
                     num_bootstrap=50,
-                    config=ExecutionConfig(
-                        batch_size=batch_size, num_workers=workers
-                    ),
+                    config=ExecutionConfig(batch_size=batch_size),
                 )
 
             return run_cell

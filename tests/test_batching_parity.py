@@ -8,9 +8,9 @@ shares the random stream with labeling and all accounting flows through
 ``Oracle._record``.
 
 The grid sweeps run through the statistical-equivalence harness
-(``tests/harness.py``), pinned here to ``num_workers=1`` so this file
-isolates the *batching* axis; ``tests/test_parallel_parity.py`` crosses it
-with the worker axis.  The accounting unit tests at the bottom pin the
+(``tests/harness.py``) on the plain oracle, so this file isolates the
+*batching* axis; ``tests/test_parallel_parity.py`` crosses it with the
+remote endpoint's ``max_in_flight`` axis.  The accounting unit tests at the bottom pin the
 ``_record`` invariant directly.
 """
 
@@ -33,7 +33,6 @@ from repro.core.uniform import UniformSampler, run_uniform
 from repro.engine.config import ExecutionConfig
 from repro.oracle.base import StatisticOracle, evaluate_oracle_batch
 from repro.oracle.budget import BudgetedOracle, OracleBudget, OracleBudgetExceededError
-from repro.oracle.cache import CachingOracle
 from repro.oracle.composite import AndOracle, OrOracle
 from repro.oracle.simulated import LabelColumnOracle, ThresholdOracle
 from repro.query.executor import QueryContext, execute_query
@@ -41,7 +40,6 @@ from repro.stats.rng import RandomState
 from repro.synth import make_dataset, make_groupby_scenario, make_multipred_scenario
 
 BATCH_SIZES = (1, 7, 64, None)
-SERIAL = (1,)  # this file pins the batching axis with a single worker
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +51,7 @@ class TestSinglePredicateParity:
     def test_run_abae_identical_across_batch_sizes(self, scenario):
         call_counts = set()
 
-        def run(seed, batch_size, num_workers):
+        def run(seed, batch_size, wrap):
             oracle = scenario.make_oracle()
             result = run_abae(
                 scenario.proxy,
@@ -63,13 +61,13 @@ class TestSinglePredicateParity:
                 with_ci=True,
                 num_bootstrap=50,
                 rng=RandomState(seed),
-                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
+                config=ExecutionConfig(batch_size=batch_size),
             )
             call_counts.add(oracle.num_calls)
             return result
 
         assert_statistically_equivalent(
-            run, seeds=(42, 43), batch_sizes=BATCH_SIZES, num_workers=SERIAL
+            run, seeds=(42, 43), batch_sizes=BATCH_SIZES
         )
         assert call_counts == {1_500}
 
@@ -86,7 +84,7 @@ class TestSinglePredicateParity:
         assert sequential.oracle_calls == batched.oracle_calls
 
     def test_run_uniform_identical_across_batch_sizes(self, scenario):
-        def run(seed, batch_size, num_workers):
+        def run(seed, batch_size, wrap):
             return run_uniform(
                 scenario.num_records,
                 scenario.make_oracle(),
@@ -95,11 +93,11 @@ class TestSinglePredicateParity:
                 with_ci=True,
                 num_bootstrap=50,
                 rng=RandomState(seed),
-                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
+                config=ExecutionConfig(batch_size=batch_size),
             )
 
         assert_statistically_equivalent(
-            run, seeds=(7, 8), batch_sizes=BATCH_SIZES, num_workers=SERIAL
+            run, seeds=(7, 8), batch_sizes=BATCH_SIZES
         )
 
     def test_uniform_sampler_facade(self, scenario):
@@ -117,22 +115,22 @@ class TestSinglePredicateParity:
 
 class TestAdaptiveParity:
     def test_sequential_sampler(self, scenario):
-        def run(seed, batch_size, num_workers):
+        def run(seed, batch_size, wrap):
             return run_abae_sequential(
                 scenario.proxy,
                 scenario.make_oracle(),
                 scenario.statistic_values,
                 budget=600,
                 rng=RandomState(seed),
-                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
+                config=ExecutionConfig(batch_size=batch_size),
             )
 
         assert_statistically_equivalent(
-            run, seeds=(11, 12), batch_sizes=(1, 16, None), num_workers=SERIAL
+            run, seeds=(11, 12), batch_sizes=(1, 16, None)
         )
 
     def test_until_width_driver(self, scenario):
-        def run(seed, batch_size, num_workers):
+        def run(seed, batch_size, wrap):
             return run_abae_until_width(
                 scenario.proxy,
                 scenario.make_oracle(),
@@ -141,11 +139,11 @@ class TestAdaptiveParity:
                 max_budget=1_200,
                 num_bootstrap=100,
                 rng=RandomState(seed),
-                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
+                config=ExecutionConfig(batch_size=batch_size),
             )
 
         assert_statistically_equivalent(
-            run, seeds=(13, 14), batch_sizes=(1, None), num_workers=SERIAL
+            run, seeds=(13, 14), batch_sizes=(1, None)
         )
 
 
@@ -155,7 +153,7 @@ class TestGroupByParity:
         scenario = make_groupby_scenario("synthetic", seed=3)
         specs = [GroupSpec(key=g, proxy=scenario.proxies[g]) for g in scenario.groups]
 
-        def run(seed, batch_size, num_workers):
+        def run(seed, batch_size, wrap):
             return run_groupby_single_oracle(
                 specs,
                 scenario.make_single_oracle(),
@@ -163,14 +161,13 @@ class TestGroupByParity:
                 budget=1_200,
                 allocation_method=allocation_method,
                 rng=RandomState(seed),
-                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
+                config=ExecutionConfig(batch_size=batch_size),
             )
 
         assert_statistically_equivalent(
             run,
             seeds=(17,),
             batch_sizes=(1, 33, None),
-            num_workers=SERIAL,
             fingerprint=groupby_fingerprint,
         )
 
@@ -179,7 +176,7 @@ class TestGroupByParity:
         scenario = make_groupby_scenario("synthetic", seed=3)
         specs = [GroupSpec(key=g, proxy=scenario.proxies[g]) for g in scenario.groups]
 
-        def run(seed, batch_size, num_workers):
+        def run(seed, batch_size, wrap):
             return run_groupby_multi_oracle(
                 specs,
                 scenario.make_per_group_oracles(),
@@ -187,14 +184,13 @@ class TestGroupByParity:
                 budget=1_200,
                 allocation_method=allocation_method,
                 rng=RandomState(seed),
-                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
+                config=ExecutionConfig(batch_size=batch_size),
             )
 
         assert_statistically_equivalent(
             run,
             seeds=(19,),
             batch_sizes=(1, 33, None),
-            num_workers=SERIAL,
             fingerprint=groupby_fingerprint,
         )
 
@@ -203,7 +199,7 @@ class TestMultiPredicateParity:
     def test_constituent_call_counts_preserve_short_circuit(self):
         scenario = make_multipred_scenario("synthetic", seed=5)
 
-        def run(seed, batch_size, num_workers):
+        def run(seed, batch_size, wrap):
             expression = And(
                 [
                     PredicateLeaf(scenario.proxies[name], scenario.make_oracle(name), name=name)
@@ -215,14 +211,13 @@ class TestMultiPredicateParity:
                 scenario.statistic_values,
                 budget=1_000,
                 rng=RandomState(seed),
-                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
+                config=ExecutionConfig(batch_size=batch_size),
             )
 
         assert_statistically_equivalent(
             run,
             seeds=(23, 24),
             batch_sizes=(1, 33, None),
-            num_workers=SERIAL,
             fingerprint=lambda r: estimate_fingerprint(r)
             + repr(r.details["constituent_oracle_calls"]),
         )
@@ -231,7 +226,7 @@ class TestMultiPredicateParity:
         scenario = make_multipred_scenario("synthetic", seed=6)
         names = scenario.predicate_names
 
-        def run(seed, batch_size, num_workers):
+        def run(seed, batch_size, wrap):
             leaves = [
                 PredicateLeaf(scenario.proxies[n], scenario.make_oracle(n), name=n)
                 for n in names
@@ -242,11 +237,11 @@ class TestMultiPredicateParity:
                 scenario.statistic_values,
                 budget=600,
                 rng=RandomState(seed),
-                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
+                config=ExecutionConfig(batch_size=batch_size),
             )
 
         assert_statistically_equivalent(
-            run, seeds=(29, 30), batch_sizes=(1, None), num_workers=SERIAL
+            run, seeds=(29, 30), batch_sizes=(1, None)
         )
 
 
@@ -260,12 +255,12 @@ class TestQueryExecutorParity:
             "ORACLE LIMIT 800 USING proxy WITH PROBABILITY 0.95"
         )
 
-        def run(seed, batch_size, num_workers):
+        def run(seed, batch_size, wrap):
             return execute_query(
                 query,
                 context,
                 seed=seed,
-                config=ExecutionConfig(batch_size=batch_size, num_workers=num_workers),
+                config=ExecutionConfig(batch_size=batch_size),
                 num_bootstrap=50,
             )
 
@@ -273,7 +268,6 @@ class TestQueryExecutorParity:
             run,
             seeds=(31, 33),
             batch_sizes=(1, 33, None),
-            num_workers=SERIAL,
             fingerprint=query_fingerprint,
         )
 
@@ -326,19 +320,6 @@ class TestOracleAccountingParity:
             assert (oa1.num_calls, ob1.num_calls) == (oa2.num_calls, ob2.num_calls)
             # The second child is only consulted when the first doesn't decide.
             assert ob1.num_calls < len(idx)
-
-    def test_caching_oracle_batch_with_duplicates(self):
-        values = np.arange(100.0)
-        inner = ThresholdOracle(values, threshold=50.0)
-        cache = CachingOracle(inner)
-        batch = np.array([1, 2, 1, 99, 2, 1], dtype=np.int64)
-        answers = cache.evaluate_batch(batch)
-        assert [bool(a) for a in answers] == [False, False, False, True, False, False]
-        assert cache.misses == 3 and cache.hits == 3
-        assert cache.num_calls == 3 and inner.num_calls == 3
-        # A second identical batch is all hits and charges nothing.
-        cache.evaluate_batch(batch)
-        assert cache.num_calls == 3 and cache.hits == 9
 
     def test_budgeted_oracle_batch_is_all_or_nothing(self):
         labels = np.zeros(50, dtype=bool)

@@ -6,6 +6,7 @@ is the only way to pass a knob (the removed per-knob kwargs raise
 ``TypeError``), and that path is completely silent.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -48,15 +49,14 @@ class TestValidation:
         with pytest.raises(ExecutionConfigError, match="batch_size"):
             ExecutionConfig(batch_size=bad)
 
-    @pytest.mark.parametrize("bad", [0, -1, -100, 2.5, "4", True, False])
-    def test_bad_num_workers(self, bad):
-        with pytest.raises(ExecutionConfigError, match="num_workers"):
-            ExecutionConfig(num_workers=bad)
-
-    @pytest.mark.parametrize("bad", ["thraed", "gpu", "", None])
-    def test_bad_backend(self, bad):
-        with pytest.raises((ExecutionConfigError, ValueError), match="backend"):
-            ExecutionConfig(parallel_backend=bad)
+    @pytest.mark.parametrize(
+        "field, value", [("num_workers", 4), ("parallel_backend", "thread")]
+    )
+    def test_removed_concurrency_fields(self, field, value):
+        # Concurrent oracle calls belong to the oracle (a blocking
+        # AsyncOracle's endpoint), not to the config.
+        with pytest.raises(TypeError, match=field):
+            ExecutionConfig(**{field: value})
 
     @pytest.mark.parametrize("bad", ["yes", 1, 0, None])
     def test_bad_plan_cache(self, bad):
@@ -78,18 +78,16 @@ class TestValidation:
             ExecutionConfig(batch_size=0)
 
     def test_numpy_integers_normalized(self):
-        config = ExecutionConfig(
-            batch_size=np.int64(16), num_workers=np.int64(4), seed=np.int64(3)
-        )
+        config = ExecutionConfig(batch_size=np.int64(16), seed=np.int64(3))
         assert config.batch_size == 16 and type(config.batch_size) is int
-        assert config.num_workers == 4 and type(config.num_workers) is int
         assert config.seed == 3 and type(config.seed) is int
 
     def test_defaults_are_valid_and_none_means_serial_whole_draw(self):
         config = ExecutionConfig()
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "batch_size", "plan_cache", "seed", "progress",
+        ]
         assert config.batch_size is None
-        assert config.num_workers is None
-        assert config.parallel_backend == "thread"
         assert config.plan_cache is True
         assert config.seed is None
         assert config.progress is None
@@ -163,7 +161,7 @@ class TestLegacyKwargDeprecation:
         """The modern config= path must emit no deprecation warnings at all."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            config = ExecutionConfig(batch_size=9, num_workers=2)
+            config = ExecutionConfig(batch_size=9)
             run_abae(
                 scenario.proxy,
                 scenario.make_oracle(),
@@ -210,11 +208,10 @@ class TestFacadeConfigSurface:
             scenario.proxy,
             scenario.make_oracle(),
             scenario.statistic_values,
-            config=ExecutionConfig(batch_size=3, num_workers=2),
+            config=ExecutionConfig(batch_size=3, plan_cache=False),
         )
         assert sampler.config.batch_size == 3
-        assert sampler.config.num_workers == 2
-        assert sampler.config.parallel_backend == "thread"
+        assert sampler.config.plan_cache is False
         # The knobs have one home: no read-only views on the facade.
         assert not hasattr(sampler, "batch_size")
 
@@ -234,7 +231,7 @@ class TestFacadeConfigSurface:
             uniform.session(budget=50, config="fast please")
 
     def test_plan_carries_config(self):
-        config = ExecutionConfig(batch_size=64, num_workers=4, plan_cache=False)
+        config = ExecutionConfig(batch_size=64, plan_cache=False)
         plan = plan_query(parse_query(QUERY), config=config)
         assert plan.config is config
         assert not hasattr(plan, "batch_size")
@@ -322,26 +319,17 @@ class TestErrorMessageContracts:
     """Rejection messages must *enumerate* the allowed values.
 
     These messages are the API's discovery mechanism for valid knob
-    settings — a user who typos ``parallel_backend="greenlet"`` learns the
-    real choices from the error, not from a docs hunt.  The contract is pinned
-    here so a reworded message cannot silently drop the enumeration.
+    settings — a user who typos ``batch_size=0`` learns the real choices
+    from the error, not from a docs hunt.  The contract is pinned here so a
+    reworded message cannot silently drop the enumeration.
     """
 
-    BACKEND_CHOICES = ("'thread'", "'process'")
     BATCH_SIZE_CHOICES = ("positive integer", "None")
-
-    @pytest.mark.parametrize("bad_backend", ["greenlet", "", "THREAD"])
-    def test_config_parallel_backend_error_enumerates_choices(self, bad_backend):
-        with pytest.raises(ExecutionConfigError) as excinfo:
-            ExecutionConfig(parallel_backend=bad_backend)
-        message = str(excinfo.value)
-        for choice in self.BACKEND_CHOICES:
-            assert choice in message
-        assert repr(bad_backend) in message
+    SEED_CHOICES = ("an integer", "None")
 
     def test_config_reports_every_invalid_field_at_once(self):
         with pytest.raises(ExecutionConfigError) as excinfo:
-            ExecutionConfig(batch_size=0, parallel_backend="nope")
+            ExecutionConfig(batch_size=0, seed="nope")
         message = str(excinfo.value)
-        for choice in self.BATCH_SIZE_CHOICES + self.BACKEND_CHOICES:
+        for choice in self.BATCH_SIZE_CHOICES + self.SEED_CHOICES:
             assert choice in message

@@ -3,14 +3,13 @@
 The engine's contract for sessions is exact: driving a session with
 ``step()`` until completion performs the same draws against the same
 random stream as the legacy one-shot ``run_*`` entry points, for every
-``(seed, batch_size, num_workers)`` cell of the equivalence grid.  These
+``(seed, batch_size)`` cell of the equivalence grid.  These
 tests pin that contract with the same fingerprints ``tests/harness.py``
 uses everywhere else, plus the new capabilities the monoliths could not
 express: streaming partial estimates, budget top-ups, and byte-level
 checkpoint/resume into a fresh pipeline.
 """
 
-import itertools
 import warnings
 
 import pytest
@@ -33,7 +32,6 @@ from repro.synth import make_dataset, make_multipred_scenario
 
 SEEDS = (0, 1)
 BATCH_SIZES = (1, 7, None)
-NUM_WORKERS = (1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +58,13 @@ def assert_session_matches_one_shot(legacy_cell, session_cell):
     fingerprints = {}
     for seed in SEEDS:
         cells = []
-        for batch_size, workers in itertools.product(BATCH_SIZES, NUM_WORKERS):
-            config = ExecutionConfig(batch_size=batch_size, num_workers=workers)
+        for batch_size in BATCH_SIZES:
+            config = ExecutionConfig(batch_size=batch_size)
             one_shot = estimate_fingerprint(legacy_cell(seed, config))
             stepped = estimate_fingerprint(drive(session_cell(seed, config)))
             assert one_shot == stepped, (
                 f"session diverged from one-shot at seed={seed}, "
-                f"batch_size={batch_size}, num_workers={workers}"
+                f"batch_size={batch_size}"
             )
             cells.append(one_shot)
         assert len(set(cells)) == 1, f"knob grid diverged for seed {seed}"
@@ -566,6 +564,6 @@ class TestNoInternalDeprecationWarnings:
                 two_stage_pipeline(
                     proxy=scenario.proxy, oracle=scenario.make_oracle(),
                     statistic=scenario.statistic_values, budget=200,
-                    config=ExecutionConfig(batch_size=16, num_workers=2),
+                    config=ExecutionConfig(batch_size=16),
                 ).session(RandomState(0))
             )

@@ -687,12 +687,9 @@ class TestLegacyCheckpointResume:
 
 
 class TestNoKernelKnob:
-    def test_execution_config_has_six_fields(self):
+    def test_execution_config_has_four_fields(self):
         names = [f.name for f in dataclasses.fields(ExecutionConfig)]
-        assert names == [
-            "batch_size", "num_workers", "parallel_backend",
-            "plan_cache", "seed", "progress",
-        ]
+        assert names == ["batch_size", "plan_cache", "seed", "progress"]
 
     def test_kernels_module_names_only_the_numpy_backend(self):
         assert repro.kernels.__all__ == ["kernel_set"]

@@ -1,10 +1,9 @@
-"""Tests for repro.oracle.base, repro.oracle.budget and repro.oracle.cache."""
+"""Tests for repro.oracle.base and repro.oracle.budget."""
 
 import pytest
 
 from repro.oracle.base import StatisticOracle
 from repro.oracle.budget import BudgetedOracle, OracleBudget, OracleBudgetExceededError
-from repro.oracle.cache import CachingOracle
 from repro.oracle.simulated import LabelColumnOracle
 
 
@@ -116,38 +115,3 @@ class TestBudgetedOracle:
         assert wrapped.inner is tiny_oracle
         wrapped(0)
         assert wrapped.num_calls == 1
-
-
-class TestCachingOracle:
-    def test_second_lookup_is_free(self, tiny_labels):
-        inner = LabelColumnOracle(tiny_labels)
-        cached = CachingOracle(inner)
-        cached(0)
-        cached(0)
-        assert inner.num_calls == 1
-        assert cached.num_calls == 1
-        assert cached.hits == 1
-        assert cached.misses == 1
-
-    def test_answers_match_inner(self, tiny_labels):
-        inner = LabelColumnOracle(tiny_labels)
-        cached = CachingOracle(inner)
-        assert [cached(i) for i in range(len(tiny_labels))] == [
-            bool(v) for v in tiny_labels
-        ]
-
-    def test_clear_cache(self, tiny_labels):
-        inner = LabelColumnOracle(tiny_labels)
-        cached = CachingOracle(inner)
-        cached(0)
-        cached.clear_cache()
-        assert cached.cache_size == 0
-        cached(0)
-        assert inner.num_calls == 2
-
-    def test_cost_mirrors_inner(self, tiny_labels):
-        inner = LabelColumnOracle(tiny_labels, cost_per_call=3.0)
-        cached = CachingOracle(inner)
-        cached(0)
-        cached(0)
-        assert cached.total_cost == pytest.approx(3.0)

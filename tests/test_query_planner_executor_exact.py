@@ -76,35 +76,27 @@ class TestPhysicalPlanHints:
     def test_hints_carried_on_plan(self):
         plan = plan_query(
             parse_query(SINGLE_QUERY),
-            config=ExecutionConfig(batch_size=64, num_workers=4),
+            config=ExecutionConfig(batch_size=64),
         )
         assert plan.config.batch_size == 64
-        assert plan.config.num_workers == 4
 
     def test_hints_default_to_none(self):
         plan = plan_query(parse_query(SINGLE_QUERY))
         assert plan.config.batch_size is None
-        assert plan.config.num_workers is None
 
     def test_numpy_integer_hints_accepted(self):
-        # Worker counts computed with numpy must behave the same through
+        # Batch sizes computed with numpy must behave the same through
         # the planner as through the sampler APIs (shared validator).
         plan = plan_query(
             parse_query(SINGLE_QUERY),
-            config=ExecutionConfig(batch_size=np.int64(16), num_workers=np.int64(4)),
+            config=ExecutionConfig(batch_size=np.int64(16)),
         )
         assert plan.config.batch_size == 16
-        assert plan.config.num_workers == 4
 
     @pytest.mark.parametrize("bad", [0, -1, -100, 2.5, "8", True])
     def test_bad_batch_size_rejected_at_plan_time(self, bad):
         with pytest.raises(ExecutionConfigError, match="batch_size"):
             plan_query(parse_query(SINGLE_QUERY), config=ExecutionConfig(batch_size=bad))
-
-    @pytest.mark.parametrize("bad", [0, -1, -100, 2.5, "4", True])
-    def test_bad_num_workers_rejected_at_plan_time(self, bad):
-        with pytest.raises(ExecutionConfigError, match="num_workers"):
-            plan_query(parse_query(SINGLE_QUERY), config=ExecutionConfig(num_workers=bad))
 
     def test_execute_query_surfaces_planning_error(self, context):
         # The executor plans first, so a config that is not an
@@ -116,7 +108,7 @@ class TestPhysicalPlanHints:
     def test_execute_query_accepts_valid_hints(self, context):
         result = execute_query(
             SINGLE_QUERY, context, seed=0, num_bootstrap=30,
-            config=ExecutionConfig(batch_size=33, num_workers=2),
+            config=ExecutionConfig(batch_size=33),
         )
         baseline = execute_query(SINGLE_QUERY, context, seed=0, num_bootstrap=30)
         assert result.value == baseline.value

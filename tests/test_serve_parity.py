@@ -9,8 +9,8 @@ scheduler's own randomness comes from a dedicated generator, so this is
 exact, not statistical.
 
 Every pipeline family is swept: two-stage ABae, uniform, sequential,
-until-width, and multi-predicate, each across the (seed × batch_size ×
-num_workers) execution grid of ``tests/harness.py``.  Tier-1 keeps the
+until-width, and multi-predicate, each across the (seed × batch_size)
+execution grid of ``tests/harness.py``.  Tier-1 keeps the
 grids small (single base seed, two configs, concurrency 1 and 8);
 ``@pytest.mark.slow`` widens to the shared spawn-key seed list, the full
 config grid and 32 concurrent queries.
@@ -38,14 +38,10 @@ from repro.serve.scheduler import INTERLEAVINGS
 from repro.synth import make_dataset, make_multipred_scenario
 
 FAST_CONFIGS = (
-    ExecutionConfig(batch_size=None, num_workers=1),
-    ExecutionConfig(batch_size=1, num_workers=2),
+    ExecutionConfig(batch_size=None),
+    ExecutionConfig(batch_size=1),
 )
-WIDE_CONFIGS = tuple(
-    ExecutionConfig(batch_size=b, num_workers=w)
-    for b in (1, 7, None)
-    for w in (1, 2, 4)
-)
+WIDE_CONFIGS = tuple(ExecutionConfig(batch_size=b) for b in (1, 7, 64, None))
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +151,7 @@ def assert_scheduled_matches_solo(
 class TestScheduledParityFast:
     """Tier-1: reduced grids, concurrency 1 and 8."""
 
-    @pytest.mark.parametrize("config", FAST_CONFIGS, ids=["serial", "batched2w"])
+    @pytest.mark.parametrize("config", FAST_CONFIGS, ids=["serial", "per_record"])
     @pytest.mark.parametrize("interleaving", INTERLEAVINGS)
     @pytest.mark.parametrize("concurrency", (1, 8))
     def test_two_stage_grid(

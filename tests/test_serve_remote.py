@@ -283,7 +283,7 @@ class TestFailureParity:
 
     def test_chunked_batches_flaky(self, scenario):
         """batch_size < draw size: multi-chunk steps park/replay per chunk."""
-        config = ExecutionConfig(batch_size=7, num_workers=1)
+        config = ExecutionConfig(batch_size=7)
         seeds = [5, 1005]
         solo_factory = plain_pipeline_factory("two_stage", scenario, config=config)
         solo = [solo_fingerprint(solo_factory(), s) for s in seeds]

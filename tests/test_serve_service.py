@@ -9,9 +9,8 @@ Three groups:
 * **Shared oracle cache** — the cross-query store changes *who pays*
   for a call (inner oracle ``num_calls``), never any answer or
   estimate; hit/miss/eviction accounting is exact.
-* **Thread safety** — :class:`~repro.oracle.cache.CachingOracle` and
-  :class:`~repro.serve.cache.SharedOracleCache` under many threads with
-  exact hit-count assertions (the PR's ``CachingOracle`` lock fix).
+* **Thread safety** — :class:`~repro.serve.cache.SharedOracleCache`
+  under many threads with exact hit-count assertions.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.engine.builders import two_stage_pipeline
-from repro.oracle.cache import CachingOracle
 from repro.oracle.simulated import CallableOracle, LabelColumnOracle
 from repro.query.errors import PlanningError
 from repro.query.executor import QueryContext, execute_query, prepare_query
@@ -324,51 +322,6 @@ class TestSharedCache:
 
 
 class TestThreadSafety:
-    def test_caching_oracle_exact_accounting_under_threads(self):
-        # Many threads, one oracle, overlapping batches: the cache must
-        # charge each distinct record exactly once, and hits + misses must
-        # equal total requests, with no lost updates.
-        num_records = 400
-        labels = np.arange(num_records) % 7 == 0
-        inner = LabelColumnOracle(labels, name="stress")
-        cached = CachingOracle(inner)
-
-        num_threads = 16
-        per_thread = 300
-        rng = np.random.default_rng(0)
-        batches = [
-            rng.integers(0, num_records, size=per_thread)
-            for _ in range(num_threads)
-        ]
-        errors = []
-        barrier = threading.Barrier(num_threads)
-
-        def worker(batch):
-            try:
-                barrier.wait()
-                answers = cached.evaluate_batch(batch)
-                expected = labels[np.asarray(batch)]
-                if list(answers) != expected.tolist():
-                    raise AssertionError("wrong answers under contention")
-            except BaseException as exc:  # noqa: BLE001 - collected for the test
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(b,)) for b in batches
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors, errors[0]
-
-        distinct = len({int(i) for b in batches for i in b})
-        total = num_threads * per_thread
-        assert cached.misses == distinct == inner.num_calls
-        assert cached.num_calls == distinct
-        assert cached.hits == total - distinct
-        assert cached.cache_size == distinct
-
     def test_shared_cache_exact_accounting_under_threads(self):
         num_records = 250
         labels = np.arange(num_records) % 5 == 0
@@ -419,13 +372,3 @@ class TestThreadSafety:
         # aggregate across the per-query wrappers.
         assert sum(o.num_calls for o in oracles) == distinct
         assert sum(o.inner.num_calls for o in oracles) == distinct
-
-    def test_caching_oracle_still_pickles(self):
-        import pickle
-
-        labels = np.array([True, False, True])
-        cached = CachingOracle(LabelColumnOracle(labels))
-        cached.evaluate_batch([0, 1])
-        clone = pickle.loads(pickle.dumps(cached))
-        assert clone.hits == cached.hits and clone.misses == cached.misses
-        assert clone(2) is True  # the restored lock works

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.rng import (
-    RandomState,
-    derive_seed,
-    spawn_children,
-    spawn_shard_streams,
-)
+from repro.stats.rng import RandomState, derive_seed, spawn_children
 
 
 class TestRandomState:
@@ -100,29 +95,3 @@ class TestHelpers:
     def test_derive_seed_in_32bit_range(self):
         seed = derive_seed(123, "dataset", "method", 10_000)
         assert 0 <= seed < 2**32
-
-
-class TestShardStreams:
-    def test_streams_are_deterministic_and_independent(self):
-        a = spawn_shard_streams(7, 6)
-        b = spawn_shard_streams(7, 6)
-        draws_a = [s.random(4).tolist() for s in a]
-        draws_b = [s.random(4).tolist() for s in b]
-        # Same base seed -> identical per-shard streams (keyed by position).
-        assert draws_a == draws_b
-        # Distinct shards -> distinct streams.
-        assert len({tuple(d) for d in draws_a}) == 6
-
-    def test_stream_for_shard_i_is_independent_of_shard_count(self):
-        few = spawn_shard_streams(3, 2)
-        many = spawn_shard_streams(3, 8)
-        # SeedSequence.spawn is prefix-stable: the i-th child is the same
-        # whether 2 or 8 children are spawned, which is what makes results
-        # independent of the worker count.
-        assert few[0].random(3).tolist() == many[0].random(3).tolist()
-        assert few[1].random(3).tolist() == many[1].random(3).tolist()
-
-    def test_zero_shards_and_validation(self):
-        assert spawn_shard_streams(0, 0) == []
-        with pytest.raises(ValueError):
-            spawn_shard_streams(0, -1)
