@@ -40,6 +40,7 @@ from repro.oracle.budget import BudgetedOracle, OracleBudget
 from repro.oracle.composite import AndOracle, NotOracle, OrOracle
 from repro.oracle.remote import AsyncOracle, RemoteEndpoint
 from repro.oracle.simulated import LabelColumnOracle
+from repro.serve.cache import SharedCachingOracle, SharedOracleCache
 from repro.stats.rng import RandomState
 
 
@@ -154,6 +155,19 @@ class TestColumnarMatchesLegacy:
         _drive(NotOracle(columnar_child))
         _drive(NotOracle(legacy_child))
         _assert_logs_identical(columnar_child, legacy_child)
+
+    def test_shared_caching_oracle_inner_log(self, labels):
+        columnar = SharedCachingOracle(
+            LabelColumnOracle(labels, keep_log=True), SharedOracleCache()
+        )
+        legacy = SharedCachingOracle(
+            LegacyLabelOracle(labels, keep_log=True), SharedOracleCache()
+        )
+        _drive(columnar)
+        _drive(legacy)
+        assert columnar.hits == legacy.hits
+        assert columnar.misses == legacy.misses
+        _assert_logs_identical(columnar.inner, legacy.inner)
 
     def test_budgeted_oracle_passthrough(self, labels):
         budget_a, budget_b = OracleBudget(1000), OracleBudget(1000)

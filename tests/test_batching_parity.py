@@ -36,6 +36,7 @@ from repro.oracle.budget import BudgetedOracle, OracleBudget, OracleBudgetExceed
 from repro.oracle.composite import AndOracle, OrOracle
 from repro.oracle.simulated import LabelColumnOracle, ThresholdOracle
 from repro.query.executor import QueryContext, execute_query
+from repro.serve.cache import SharedCachingOracle, SharedOracleCache
 from repro.stats.rng import RandomState
 from repro.synth import make_dataset, make_groupby_scenario, make_multipred_scenario
 
@@ -320,6 +321,21 @@ class TestOracleAccountingParity:
             assert (oa1.num_calls, ob1.num_calls) == (oa2.num_calls, ob2.num_calls)
             # The second child is only consulted when the first doesn't decide.
             assert ob1.num_calls < len(idx)
+
+    def test_shared_caching_oracle_batch_with_duplicates(self):
+        values = np.arange(100.0)
+        inner = ThresholdOracle(values, threshold=50.0)
+        store = SharedOracleCache()
+        cache = SharedCachingOracle(inner, store)
+        batch = np.array([1, 2, 1, 99, 2, 1], dtype=np.int64)
+        answers = cache.evaluate_batch(batch)
+        assert [bool(a) for a in answers] == [False, False, False, True, False, False]
+        assert cache.misses == 3 and cache.hits == 3
+        assert cache.num_calls == 3 and inner.num_calls == 3
+        # A second identical batch is all hits and charges nothing.
+        cache.evaluate_batch(batch)
+        assert cache.num_calls == 3 and cache.hits == 9
+        assert (store.stats().misses, store.stats().hits) == (3, 9)
 
     def test_budgeted_oracle_batch_is_all_or_nothing(self):
         labels = np.zeros(50, dtype=bool)

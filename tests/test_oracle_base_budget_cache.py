@@ -1,10 +1,11 @@
-"""Tests for repro.oracle.base and repro.oracle.budget."""
+"""Tests for repro.oracle.base, repro.oracle.budget and the shared caching wrapper."""
 
 import pytest
 
 from repro.oracle.base import StatisticOracle
 from repro.oracle.budget import BudgetedOracle, OracleBudget, OracleBudgetExceededError
 from repro.oracle.simulated import LabelColumnOracle
+from repro.serve.cache import SharedCachingOracle, SharedOracleCache
 
 
 class TestOracleAccounting:
@@ -115,3 +116,45 @@ class TestBudgetedOracle:
         assert wrapped.inner is tiny_oracle
         wrapped(0)
         assert wrapped.num_calls == 1
+
+
+class TestSharedCachingOracle:
+    """The one caching wrapper: it changes who pays, never an answer."""
+
+    def test_second_lookup_is_free(self, tiny_labels):
+        inner = LabelColumnOracle(tiny_labels)
+        cached = SharedCachingOracle(inner, SharedOracleCache())
+        cached(0)
+        cached(0)
+        assert inner.num_calls == 1
+        assert cached.num_calls == 1
+        assert cached.hits == 1
+        assert cached.misses == 1
+
+    def test_answers_match_inner(self, tiny_labels):
+        cached = SharedCachingOracle(LabelColumnOracle(tiny_labels), SharedOracleCache())
+        assert [bool(cached(i)) for i in range(len(tiny_labels))] == [
+            bool(v) for v in tiny_labels
+        ]
+        assert [bool(a) for a in cached.evaluate_batch(range(len(tiny_labels)))] == [
+            bool(v) for v in tiny_labels
+        ]
+
+    def test_cleared_store_charges_again(self, tiny_labels):
+        inner = LabelColumnOracle(tiny_labels)
+        store = SharedOracleCache()
+        cached = SharedCachingOracle(inner, store)
+        cached(0)
+        store.clear()
+        assert len(store) == 0
+        cached(0)
+        assert inner.num_calls == 2
+        assert cached.misses == 2 and cached.hits == 0
+
+    def test_cost_mirrors_inner(self, tiny_labels):
+        inner = LabelColumnOracle(tiny_labels, cost_per_call=3.0)
+        cached = SharedCachingOracle(inner, SharedOracleCache())
+        cached(0)
+        cached(0)
+        assert cached.cost_per_call == 3.0
+        assert cached.total_cost == pytest.approx(3.0)

@@ -57,12 +57,18 @@ from repro.oracle.remote import (
 )
 from repro.oracle.simulated import LabelColumnOracle, SimulatedRemoteOracle
 from repro.query.executor import QueryContext, execute_query
+from repro.serve.cache import SharedCachingOracle, SharedOracleCache
 from repro.stats.rng import RandomState
 from repro.synth import make_dataset, make_groupby_scenario, make_multipred_scenario
 
 MATRIX_BATCH_SIZES = (1, 7, None)
-# ``None`` is the plain-oracle baseline every endpoint cell must match.
-MATRIX_MAX_IN_FLIGHT = (None, 1, 2, 4)
+# One test per endpoint width, so a divergence names its cell.  Each test
+# runs the plain oracle (``max_in_flight=None``) beside the endpoint, and
+# every cell must match the plain baseline.
+MATRIX_MAX_IN_FLIGHT = (1, 2, 4)
+in_flight_grid = pytest.mark.parametrize(
+    "in_flight", MATRIX_MAX_IN_FLIGHT, ids=lambda k: f"in_flight{k}"
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +86,11 @@ def multipred_scenario():
     return make_multipred_scenario("synthetic", seed=5, size=8_000)
 
 
+@in_flight_grid
 class TestSamplerMatrix:
-    """Every sampler family, {plain,1,2,4} × {1,7,None} grid."""
+    """Every sampler family: plain vs. endpoint, across {1,7,None} batching."""
 
-    def test_run_abae(self, scenario):
+    def test_run_abae(self, scenario, in_flight):
         def run(seed, batch_size, wrap):
             return run_abae(
                 scenario.proxy,
@@ -98,10 +105,10 @@ class TestSamplerMatrix:
 
         assert_statistically_equivalent(
             run, seeds=(0, 42), batch_sizes=MATRIX_BATCH_SIZES,
-            max_in_flight=MATRIX_MAX_IN_FLIGHT,
+            max_in_flight=(None, in_flight),
         )
 
-    def test_run_uniform(self, scenario):
+    def test_run_uniform(self, scenario, in_flight):
         def run(seed, batch_size, wrap):
             return run_uniform(
                 scenario.num_records,
@@ -116,10 +123,10 @@ class TestSamplerMatrix:
 
         assert_statistically_equivalent(
             run, seeds=(0, 7), batch_sizes=MATRIX_BATCH_SIZES,
-            max_in_flight=MATRIX_MAX_IN_FLIGHT,
+            max_in_flight=(None, in_flight),
         )
 
-    def test_run_abae_sequential(self, scenario):
+    def test_run_abae_sequential(self, scenario, in_flight):
         def run(seed, batch_size, wrap):
             return run_abae_sequential(
                 scenario.proxy,
@@ -132,10 +139,10 @@ class TestSamplerMatrix:
 
         assert_statistically_equivalent(
             run, seeds=(0, 11), batch_sizes=MATRIX_BATCH_SIZES,
-            max_in_flight=MATRIX_MAX_IN_FLIGHT,
+            max_in_flight=(None, in_flight),
         )
 
-    def test_run_abae_until_width(self, scenario):
+    def test_run_abae_until_width(self, scenario, in_flight):
         def run(seed, batch_size, wrap):
             return run_abae_until_width(
                 scenario.proxy,
@@ -150,10 +157,10 @@ class TestSamplerMatrix:
 
         assert_statistically_equivalent(
             run, seeds=(13, 14), batch_sizes=(1, None),
-            max_in_flight=MATRIX_MAX_IN_FLIGHT,
+            max_in_flight=(None, in_flight),
         )
 
-    def test_run_abae_multipred(self, multipred_scenario):
+    def test_run_abae_multipred(self, multipred_scenario, in_flight):
         sc = multipred_scenario
 
         def run(seed, batch_size, wrap):
@@ -176,13 +183,15 @@ class TestSamplerMatrix:
             run,
             seeds=(23, 29),
             batch_sizes=MATRIX_BATCH_SIZES,
-            max_in_flight=MATRIX_MAX_IN_FLIGHT,
+            max_in_flight=(None, in_flight),
             fingerprint=lambda r: estimate_fingerprint(r)
             + repr(r.details["constituent_oracle_calls"]),
         )
 
     @pytest.mark.parametrize("allocation_method", ["minimax", "equal", "uniform"])
-    def test_groupby_single_oracle(self, groupby_scenario, allocation_method):
+    def test_groupby_single_oracle(
+        self, groupby_scenario, allocation_method, in_flight
+    ):
         sc = groupby_scenario
         specs = [GroupSpec(key=g, proxy=sc.proxies[g]) for g in sc.groups]
 
@@ -201,12 +210,14 @@ class TestSamplerMatrix:
             run,
             seeds=(17,),
             batch_sizes=MATRIX_BATCH_SIZES,
-            max_in_flight=MATRIX_MAX_IN_FLIGHT,
+            max_in_flight=(None, in_flight),
             fingerprint=groupby_fingerprint,
         )
 
     @pytest.mark.parametrize("allocation_method", ["minimax", "equal", "uniform"])
-    def test_groupby_multi_oracle(self, groupby_scenario, allocation_method):
+    def test_groupby_multi_oracle(
+        self, groupby_scenario, allocation_method, in_flight
+    ):
         sc = groupby_scenario
         specs = [GroupSpec(key=g, proxy=sc.proxies[g]) for g in sc.groups]
 
@@ -226,13 +237,14 @@ class TestSamplerMatrix:
             run,
             seeds=(19,),
             batch_sizes=MATRIX_BATCH_SIZES,
-            max_in_flight=MATRIX_MAX_IN_FLIGHT,
+            max_in_flight=(None, in_flight),
             fingerprint=groupby_fingerprint,
         )
 
 
+@in_flight_grid
 class TestFacadeAndExecutorMatrix:
-    def test_abae_facade_override(self, scenario):
+    def test_abae_facade_override(self, scenario, in_flight):
         def run(seed, batch_size, wrap):
             sampler = ABae(
                 scenario.proxy,
@@ -248,10 +260,10 @@ class TestFacadeAndExecutorMatrix:
 
         assert_statistically_equivalent(
             run, seeds=(3, 4), batch_sizes=(1, None),
-            max_in_flight=MATRIX_MAX_IN_FLIGHT,
+            max_in_flight=(None, in_flight),
         )
 
-    def test_uniform_facade_override(self, scenario):
+    def test_uniform_facade_override(self, scenario, in_flight):
         def run(seed, batch_size, wrap):
             sampler = UniformSampler(
                 scenario.num_records,
@@ -266,10 +278,11 @@ class TestFacadeAndExecutorMatrix:
             )
 
         assert_statistically_equivalent(
-            run, seeds=(5, 6), batch_sizes=(1, None), max_in_flight=(None, 1, 4)
+            run, seeds=(5, 6), batch_sizes=(1, None),
+            max_in_flight=(None, in_flight),
         )
 
-    def test_execute_query_single_predicate(self, scenario):
+    def test_execute_query_single_predicate(self, scenario, in_flight):
         query = (
             "SELECT AVG(views(rec)) FROM t WHERE is_match(rec) "
             "ORACLE LIMIT 500 USING proxy WITH PROBABILITY 0.95"
@@ -293,7 +306,7 @@ class TestFacadeAndExecutorMatrix:
             run,
             seeds=(31, 32),
             batch_sizes=MATRIX_BATCH_SIZES,
-            max_in_flight=MATRIX_MAX_IN_FLIGHT,
+            max_in_flight=(None, in_flight),
             fingerprint=query_fingerprint,
         )
 
@@ -307,7 +320,10 @@ class TestWideMatrix:
     grid and any failure reproduces exactly.
     """
 
-    def test_run_abae_wide(self, scenario):
+    @pytest.mark.parametrize(
+        "in_flight", (1, 2, 8), ids=lambda k: f"in_flight{k}"
+    )
+    def test_run_abae_wide(self, scenario, in_flight):
         def run(seed, batch_size, wrap):
             return run_abae(
                 scenario.proxy,
@@ -324,7 +340,7 @@ class TestWideMatrix:
             run,
             seeds=WIDE_GRID_SEEDS,
             batch_sizes=(1, 7, 64, None),
-            max_in_flight=(None, 1, 2, 8),
+            max_in_flight=(None, in_flight),
         )
 
 
@@ -485,24 +501,47 @@ class TestParallelPrimitives:
         assert oracle.remote_stats().requests == 1
         oracle.endpoint.close()
 
-    def test_label_records_with_wrapped_oracle_parity(self, scenario):
+    @in_flight_grid
+    def test_label_records_with_wrapped_oracle_parity(self, scenario, in_flight):
         drawn = np.arange(0, 4_000, 7, dtype=np.int64)
         statistic = _normalize_statistic(scenario.statistic_values)
-        baseline = None
-        for in_flight in (None, 1, 2, 4):
-            oracle = scenario.make_oracle()
-            labeler = (
-                oracle if in_flight is None
-                else blocking_adapter(oracle, max_in_flight=in_flight)
-            )
+
+        def digest(oracle, labeler):
             matches, values = label_records(drawn, labeler, statistic, None)
-            digest = (matches.tolist(), np.nan_to_num(values, nan=-1.0).tolist(),
-                      oracle.num_calls, labeler.num_calls)
-            if baseline is None:
-                baseline = digest
-            assert digest == baseline
-            if in_flight is not None:
-                labeler.endpoint.close()
+            return (matches.tolist(), np.nan_to_num(values, nan=-1.0).tolist(),
+                    oracle.num_calls, labeler.num_calls)
+
+        plain = scenario.make_oracle()
+        baseline = digest(plain, plain)
+        oracle = scenario.make_oracle()
+        labeler = blocking_adapter(oracle, max_in_flight=in_flight)
+        try:
+            assert digest(oracle, labeler) == baseline
+        finally:
+            labeler.endpoint.close()
+
+    def test_shared_cache_composes_outside(self):
+        # The cache sits outside the endpoint: it sends only its misses
+        # through the split, and hit/miss accounting matches a cache over
+        # the plain oracle.
+        labels = np.arange(4_000) % 5 == 0
+        serial = SharedCachingOracle(LabelColumnOracle(labels), SharedOracleCache())
+        transport = LabelColumnOracle(labels)
+        split = SharedCachingOracle(
+            blocking_adapter(transport, max_in_flight=4), SharedOracleCache()
+        )
+        for batch in (np.arange(300), np.arange(150, 450), np.arange(300)):
+            np.testing.assert_array_equal(
+                np.asarray(serial.evaluate_batch(batch)),
+                np.asarray(split.evaluate_batch(batch)),
+            )
+        assert (serial.num_calls, serial.hits, serial.misses) == (
+            split.num_calls,
+            split.hits,
+            split.misses,
+        )
+        assert transport.num_calls == split.misses == 450
+        split.inner.endpoint.close()
 
     def test_budget_composes_outside(self):
         budget = OracleBudget(200)
