@@ -41,8 +41,9 @@ Oracle evaluation runs through a batched execution engine
 (:mod:`repro.engine`, over :mod:`repro.core.batching`): oracles exposing
 ``evaluate_batch`` label whole per-stratum draws in one vectorized
 invocation.  Concurrent oracle calls have one mechanism: a blocking
-:class:`~repro.oracle.remote.AsyncOracle` spreads each batch over its
-:class:`~repro.oracle.remote.RemoteEndpoint`'s in-flight slots.  Every
+:class:`~repro.oracle.remote.AsyncOracle` spreads a batch larger than one
+transport call over its :class:`~repro.oracle.remote.RemoteEndpoint`'s
+in-flight slots.  Every
 sampler and the query executor take a ``config``
 (:class:`~repro.engine.config.ExecutionConfig`) carrying the physical
 knobs — ``batch_size`` (``None`` = whole-draw batches, ``1`` = strictly
@@ -79,7 +80,7 @@ from repro.data import ChunkedBackend, DatasetBackend, InMemoryBackend, MmapBack
 from repro.engine import ExecutionConfig, SamplingPipeline, SamplingSession
 from repro.query import execute_query, parse_query
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "ABae",

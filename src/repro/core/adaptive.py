@@ -32,10 +32,6 @@ from repro.core.abae import StatisticLike
 from repro.core.results import EstimateResult
 from repro.engine.builders import sequential_pipeline, until_width_pipeline
 from repro.engine.config import ExecutionConfig
-from repro.engine.pipeline import StratumPool as _StratumPool  # noqa: F401 - compat
-from repro.engine.policies import (  # noqa: F401 - compat re-export
-    marginal_variance_reduction as _marginal_variance_reduction,
-)
 from repro.proxy.base import Proxy
 from repro.stats.rng import RandomState
 

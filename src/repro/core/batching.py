@@ -19,13 +19,14 @@ over them, extract the statistic for the matches" step so that:
 Determinism contract
 --------------------
 Batching never touches the random stream — record *selection* stays with
-:func:`repro.stats.sampling.sample_without_replacement` — and oracle
+:meth:`repro.engine.pipeline.StratumPool.select` (or
+:func:`repro.stats.sampling.sample_without_replacement`) — and oracle
 accounting advances through the same ``Oracle._record`` helper as
 sequential calls.  Therefore, for any ``batch_size`` (including the strict
 per-record path ``batch_size=1``), estimates, confidence intervals and
 ``num_calls`` are bit-identical under a fixed seed — also when the oracle
-is a blocking :class:`~repro.oracle.remote.AsyncOracle` that spreads each
-batch over its endpoint's in-flight slots, since it joins the answers in
+is a blocking :class:`~repro.oracle.remote.AsyncOracle` that spreads a
+large batch over its endpoint's in-flight slots, since it joins the answers in
 record order and records the batch once.  The equivalence harness in
 ``tests/harness.py`` pins this invariant across the (seed × batch_size ×
 max_in_flight) grid.

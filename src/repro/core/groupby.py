@@ -46,6 +46,7 @@ from repro.core.batching import (
 )
 from repro.engine.builders import exploit_continuation_pipeline
 from repro.engine.config import ExecutionConfig, resolve_execution_config
+from repro.engine.pipeline import StratumPool
 from repro.oracle.base import evaluate_oracle_batch
 from repro.core.estimators import (
     combine_estimates,
@@ -338,8 +339,6 @@ def run_groupby_single_oracle(
     log.append(*_label_group_draws(
         pilot_indices, oracle, statistic_fn, group_keys, batch_size
     ))
-    drawn_mask = np.zeros(num_records, dtype=bool)
-    drawn_mask[pilot_indices] = True
 
     # ---- Per-stratification estimates and within-stratification allocations -----
     per_strat_estimates = [
@@ -369,19 +368,22 @@ def run_groupby_single_oracle(
     # ---- Stage 2: sample each stratification with its share of the budget --------
     lam_counts = integerize_allocation(lam, n2)
     for l in range(num_groups):
-        stratification = stratifications[l]
-        # Dataset-length membership mask instead of np.isin per stratum:
-        # one O(1) gather per candidate rather than a sort per stratum.
-        strata = [stratification.stratum(k) for k in range(num_strata)]
-        fresh_per_stratum = [stratum[~drawn_mask[stratum]] for stratum in strata]
-        capacities = [int(fresh.size) for fresh in fresh_per_stratum]
+        # A pool per stratification, primed with every draw so far (the
+        # pilot and earlier stratifications' Stage 2): O(draws) work, so
+        # no stratification pays for the records it leaves undrawn.
+        pool = StratumPool.from_stratification(stratifications[l])
+        drawn, _, _ = log.columns()
+        drawn_strata = assignments[l][drawn]
+        for k in range(num_strata):
+            pool.mark_drawn(k, drawn[drawn_strata == k])
+        capacities = [int(c) for c in pool.remaining]
         counts = bounded_allocation(within_allocations[l], lam_counts[l], capacities)
         for k in range(num_strata):
-            chosen = sample_without_replacement(fresh_per_stratum[k], counts[k], rng)
+            positions, chosen = pool.select(k, counts[k], rng)
             log.append(*_label_group_draws(
                 chosen, oracle, statistic_fn, group_keys, batch_size
             ))
-            drawn_mask[chosen] = True
+            pool.commit(k, positions)
 
     # ---- Combine: inverse-variance weighting across stratifications --------------
     total_draws = len(log)

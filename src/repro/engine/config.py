@@ -20,8 +20,8 @@ collapses that threading into one validated value object:
 
 Concurrent oracle calls are not a knob here: they belong to the oracle.
 A blocking :class:`~repro.oracle.remote.AsyncOracle` over a
-:class:`~repro.oracle.remote.RemoteEndpoint` spreads each batch over the
-endpoint's ``max_in_flight`` slots.
+:class:`~repro.oracle.remote.RemoteEndpoint` spreads a batch larger than
+the endpoint's ``max_batch_size`` over its ``max_in_flight`` slots.
 
 The config also owns the two cross-cutting execution policies the old
 signatures could not express: the ``seed`` fallback used when a caller

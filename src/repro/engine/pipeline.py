@@ -30,8 +30,12 @@ Determinism contract
 The pipeline inherits (and centralizes) the engine's standing contract:
 ``batch_size`` / ``plan_cache`` never change estimates, confidence intervals, per-stratum samples or
 oracle accounting.  Record selection consumes the session RNG through
-:func:`repro.stats.sampling.sample_without_replacement` in policy-defined
-round order; labeling never touches the stream.
+:meth:`StratumPool.select` in policy-defined round order: one
+``rng.choice(undrawn_count, take, replace=False)`` per draw, the stream
+:func:`repro.stats.sampling.sample_without_replacement` over the gathered
+undrawn records would consume, without gathering them.  Labeling never
+touches the stream, and a draw's bookkeeping costs O(draws), never
+O(stratum).
 """
 
 from __future__ import annotations
@@ -165,7 +169,7 @@ def draw_stratum_sample(
     accounting because record selection happens before labeling and never
     shares the random stream with it.  Concurrent oracle calls are the
     oracle's concern: a blocking :class:`~repro.oracle.remote.AsyncOracle`
-    spreads each batch over its endpoint's in-flight slots.
+    spreads a large batch over its endpoint's in-flight slots.
     """
     drawn = sample_without_replacement(candidate_indices, n, rng)
     matches, values = label_records(drawn, oracle, statistic, batch_size)
@@ -180,21 +184,27 @@ def _empty_stratum_sample(stratum_index: int) -> StratumSample:
 
 
 class StratumPool:
-    """Array-native bookkeeping of not-yet-drawn records per stratum.
+    """Which records of each stratum are drawn, kept in O(draws) space.
 
-    Keeps one boolean availability mask per stratum over the
-    stratification's (sorted, read-only) index views: candidates are a
-    single boolean gather, and marking records drawn is a ``searchsorted``
-    into the sorted stratum.  Candidate order is the stratum's ascending
-    record order — deterministic by construction, and identical to the
-    dataset-length drawn-mask gathers the monolithic samplers used.
+    Per stratum the pool holds the sorted ``int64`` *positions* (into the
+    stratification's sorted, read-only index view) of the records drawn so
+    far, and the count of those still undrawn.  A draw is two steps:
+    :meth:`select` maps random ranks among the undrawn records to
+    positions without mutating anything, and :meth:`commit` merges the
+    positions in.  Neither step touches the stratum's undrawn records, so
+    a draw costs O(draws), not O(stratum).
+
+    Undrawn records are ranked in the stratum's ascending record order —
+    the order the dataset-length drawn-mask gathers of the monolithic
+    samplers produced — so drawing ranks consumes the RNG exactly as
+    drawing from the gathered candidate array did.
     """
 
-    __slots__ = ("_strata", "_available", "remaining")
+    __slots__ = ("_strata", "_drawn", "remaining")
 
     def __init__(self, strata: Sequence[np.ndarray]):
         self._strata = [np.asarray(s, dtype=np.int64) for s in strata]
-        self._available = [np.ones(s.size, dtype=bool) for s in self._strata]
+        self._drawn = [np.empty(0, dtype=np.int64) for _ in self._strata]
         self.remaining = np.array([s.size for s in self._strata], dtype=np.int64)
 
     @classmethod
@@ -211,28 +221,54 @@ class StratumPool:
         """The full (sorted) index view of stratum ``k``."""
         return self._strata[k]
 
-    def candidates(self, k: int) -> np.ndarray:
-        """Record indices of stratum ``k`` not yet drawn (ascending order)."""
-        return self._strata[k][self._available[k]]
+    def select(self, k: int, n: int, rng: RandomState):
+        """Choose ``min(n, remaining)`` undrawn records of stratum ``k``.
+
+        Returns ``(positions, indices)`` in draw order and mutates nothing,
+        so a caller can label the records first and :meth:`commit` only
+        once labelling succeeded.  The result equals
+        ``rng.choice(undrawn_records, take, replace=False)``: with
+        ``p=None``, NumPy's ``Generator.choice`` of an array is that array
+        indexed by the choice of its length, on both its Floyd and its
+        tail-shuffle path.  A rank ``r`` maps to the stratum position
+        ``r + #{i : drawn[i] - i <= r}``, where ``drawn[i] - i`` counts the
+        undrawn records before the ``i``-th drawn one.
+        """
+        remaining = int(self.remaining[k])
+        take = min(int(n), remaining)
+        if take <= 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        ranks = rng.choice(remaining, size=take, replace=False)
+        drawn = self._drawn[k]
+        gaps = drawn - np.arange(drawn.size, dtype=np.int64)
+        positions = ranks + np.searchsorted(gaps, ranks, side="right")
+        return positions, self._strata[k][positions]
+
+    def commit(self, k: int, positions: np.ndarray) -> None:
+        """Mark the records at stratum ``k``'s ``positions`` drawn."""
+        if len(positions) == 0:
+            return
+        positions = np.asarray(positions, dtype=np.int64)
+        self._drawn[k] = np.sort(np.concatenate([self._drawn[k], positions]))
+        self.remaining[k] -= positions.shape[0]
 
     def mark_drawn(self, k: int, indices: np.ndarray) -> None:
-        if len(indices) == 0:
-            return
+        """Mark records (by record index) of stratum ``k`` drawn."""
+        # The stratum is sorted, so each record's position is a binary search.
         drawn = np.asarray(indices, dtype=np.int64)
-        # The stratum is sorted, so each drawn record's mask position is a
-        # binary search.
-        self._available[k][np.searchsorted(self._strata[k], drawn)] = False
-        self.remaining[k] -= drawn.shape[0]
+        self.commit(k, np.searchsorted(self._strata[k], drawn))
 
     # -- Pickling ------------------------------------------------------------------
     # Pools are pickled inside session checkpoints.  Restore accepts every
-    # form a released checkpoint carries: this dict, the 1.6-1.8 dict that
-    # also named a kernel backend (ignored), and the pre-1.6 ``__slots__``
-    # tuple.
+    # form a released checkpoint carries: this dict, the earlier dict that
+    # kept a bool availability mask per stratum (``_available``), the
+    # 1.6-1.8 mask dict that also named a kernel backend (ignored), and the
+    # pre-1.6 ``__slots__`` tuple.
     def __getstate__(self):
         return {
             "_strata": self._strata,
-            "_available": self._available,
+            "_drawn": self._drawn,
             "remaining": self.remaining,
         }
 
@@ -240,7 +276,13 @@ class StratumPool:
         if isinstance(state, tuple):  # pre-1.6 __slots__ pickle format
             state = {**(state[0] or {}), **(state[1] or {})}
         self._strata = state["_strata"]
-        self._available = state["_available"]
+        if "_available" in state:
+            self._drawn = [
+                np.flatnonzero(~available).astype(np.int64)
+                for available in state["_available"]
+            ]
+        else:
+            self._drawn = state["_drawn"]
         self.remaining = state["remaining"]
 
 
@@ -541,20 +583,24 @@ class SamplingPipeline:
         Zero-count or exhausted-stratum draws short-circuit to an empty
         sample without touching the RNG — bit-identical to calling the
         sampler with an empty request, which also consumes nothing.
+
+        The pool commits the draw only after labelling returns: a
+        cooperative oracle raises
+        :class:`~repro.oracle.remote.PendingOracleBatch` from inside
+        labelling, and the session then rewinds only the RNG, so nothing
+        else may have changed.
         """
         if count <= 0 or state.pool.remaining[k] == 0:
             fresh = _empty_stratum_sample(k)
         else:
-            fresh = draw_stratum_sample(
-                k,
-                state.pool.candidates(k),
-                count,
-                self.oracle,
-                self.statistic,
-                state.rng,
-                batch_size=self.config.batch_size,
+            positions, drawn = state.pool.select(k, count, state.rng)
+            matches, values = label_records(
+                drawn, self.oracle, self.statistic, self.config.batch_size
             )
-            state.pool.mark_drawn(k, fresh.indices)
+            state.pool.commit(k, positions)
+            fresh = StratumSample(
+                stratum=k, indices=drawn, matches=matches, values=values
+            )
         state.samples[k] = state.samples[k].extend(fresh)
         state.rounds[-1][k] = fresh
         state.spent += fresh.num_draws

@@ -26,9 +26,9 @@ Three pieces:
   the answers aligned with the submitted records or raises the terminal
   error.
 * :class:`AsyncOracle` — the :class:`~repro.oracle.base.Oracle` adapter.
-  In **blocking** mode (the default) ``evaluate_batch`` splits the batch
-  into ``min(max_in_flight, n)`` contiguous sub-requests (see
-  :func:`shard_slices`), flushes, and waits — a drop-in oracle whose
+  In **blocking** mode (the default) ``evaluate_batch`` splits a batch
+  larger than ``max_batch_size`` into ``min(max_in_flight, n)`` contiguous
+  sub-requests (see :func:`shard_slices`), flushes, and waits — a drop-in oracle whose
   callers simply tolerate retries, and whose batches spread over the
   endpoint's in-flight slots.  This is the one mechanism for concurrent
   oracle calls: an in-process oracle gains the same overlap by being
@@ -690,13 +690,12 @@ class AsyncOracle(Oracle):
     retries and timeouts live entirely inside the endpoint and surface
     only through :meth:`remote_stats`.
 
-    ``blocking=True`` (default): ``evaluate_batch`` submits the batch as
-    ``min(max_in_flight, n)`` contiguous sub-requests, flushes, waits on
-    every ticket, and joins the answers in record order — usable anywhere
-    an oracle is.  The endpoint's coalescing still merges pieces up to
-    ``max_batch_size``, so a batch that fits makes one transport call; a
-    larger one runs on up to ``max_in_flight`` worker threads at once.
-    The joined answers have the type one unsplit ticket returns (an array
+    ``blocking=True`` (default): ``evaluate_batch`` submits a batch that
+    fits ``max_batch_size`` as one request, which makes one transport
+    call; a larger batch goes as ``min(max_in_flight, n)`` contiguous
+    sub-requests, which run on up to ``max_in_flight`` worker threads at
+    once.  It flushes, waits on every ticket, and joins the answers in
+    record order — usable anywhere an oracle is.  The joined answers have the type one unsplit ticket returns (an array
     for an array-returning transport, else a list), and the batch is
     recorded once.  ``blocking=False``
     (cooperative): a not-yet-ready batch raises
@@ -761,10 +760,15 @@ class AsyncOracle(Oracle):
 
     def _evaluate_blocking(self, idx: np.ndarray):
         endpoint = self.endpoint
-        tickets = [
-            endpoint.submit(idx[piece])
-            for piece in shard_slices(idx.shape[0], endpoint.max_in_flight)
-        ] or [endpoint.submit(idx)]
+        if idx.shape[0] <= endpoint.max_batch_size:
+            # Coalescing would merge the pieces back into one transport
+            # call, so splitting would only copy the records twice.
+            tickets = [endpoint.submit(idx)]
+        else:
+            tickets = [
+                endpoint.submit(idx[piece])
+                for piece in shard_slices(idx.shape[0], endpoint.max_in_flight)
+            ]
         # The first wait flushes every queued piece; the rest only wait.
         for ticket in tickets:
             ticket.wait()

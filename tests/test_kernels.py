@@ -1,9 +1,10 @@
 """Tests for the sampler inner loops: frozen-reference parity and edge cases.
 
 The per-draw inner loops live next to their only callers: the stratum
-pool's gathers and mask updates (:class:`~repro.engine.pipeline.StratumPool`),
-the sequential priority and per-round spread (:mod:`repro.engine.policies`),
-group-by bucketing and the fresh-candidate filter (:mod:`repro.core.groupby`),
+pool's rank selection and drawn-position merges
+(:class:`~repro.engine.pipeline.StratumPool`), the sequential priority and
+per-round spread (:mod:`repro.engine.policies`), group-by bucketing
+(:mod:`repro.core.groupby`),
 largest-remainder rounding
 (:func:`~repro.stats.sampling.proportional_integer_allocation`) and the two
 minimax objectives (:mod:`repro.core.allocation`).  The bootstrap's resample
@@ -15,9 +16,12 @@ Three groups:
   (``tobytes()``) against the pre-refactor loop frozen below, on
   derandomized inputs.
 * **Edge cases** — zero draws, exhausted and single-record strata, empty
-  groups, conservation of batch and total.
-* **Pool pickling** — fresh checkpoints carry no backend name; every form
-  a released checkpoint carries (the 1.6-1.8 dict naming a backend, the
+  groups, conservation of batch and total; the pool's rank selection
+  returns exactly what ``rng.choice`` over the gathered undrawn records
+  returns, and mutates nothing.
+* **Pool pickling** — fresh checkpoints carry only the drawn positions and
+  no backend name; every form a released checkpoint carries (the
+  availability-mask dict, the 1.6-1.8 mask dict naming a backend, the
   pre-1.6 ``__slots__`` tuple) still restores and resumes bit-identically.
 """
 
@@ -161,6 +165,12 @@ def legacy_largest_remainder(weights, total):
 
 def _bits(value) -> bytes:
     return np.asarray(value).tobytes()
+
+
+def _undrawn(pool, k):
+    """Stratum ``k``'s undrawn records, ascending, from the pool's pickled state."""
+    state = pool.__getstate__()
+    return np.delete(state["_strata"][k], state["_drawn"][k])
 
 
 def _draw_log(indices, matched, values, group="g"):
@@ -345,15 +355,13 @@ class TestFrozenReferenceParity:
         pool = StratumPool(strata)
         for round_plan in plan:
             for k, take in round_plan:
-                candidates = pool.candidates(k)
+                candidates = _undrawn(pool, k)
                 if candidates.size == 0:
                     continue
                 drawn = candidates[:: max(1, candidates.size // max(take, 1))][:take]
                 pool.mark_drawn(k, drawn)
-        state = pool.__getstate__()
         for k in range(len(strata)):
-            assert _bits(state["_available"][k]) == _bits(want_available[k])
-            assert _bits(pool.candidates(k)) == _bits(strata[k][want_available[k]])
+            assert _bits(_undrawn(pool, k)) == _bits(strata[k][want_available[k]])
         assert _bits(pool.remaining) == _bits(want_remaining)
 
     @PARITY
@@ -471,28 +479,94 @@ class TestPoolParity:
         pool.mark_drawn(0, drawn)
         mask = np.ones(stratum.size, dtype=bool)
         mask[np.searchsorted(stratum, drawn)] = False
-        np.testing.assert_array_equal(pool.candidates(0), stratum[mask])
+        np.testing.assert_array_equal(_undrawn(pool, 0), stratum[mask])
         assert pool.remaining[0] == stratum.size - drawn.size
 
     def test_zero_draws_is_a_noop(self):
         stratum = np.array([3, 7, 11], dtype=np.int64)
         pool = StratumPool([stratum])
         pool.mark_drawn(0, np.empty(0, dtype=np.int64))
-        np.testing.assert_array_equal(pool.candidates(0), stratum)
+        np.testing.assert_array_equal(_undrawn(pool, 0), stratum)
         assert pool.remaining[0] == 3
 
     def test_exhausting_a_stratum(self):
         stratum = np.array([2, 5, 9], dtype=np.int64)
         pool = StratumPool([stratum])
         pool.mark_drawn(0, stratum)  # count == capacity
-        assert pool.candidates(0).size == 0
+        assert _undrawn(pool, 0).size == 0
         assert pool.remaining[0] == 0
+        positions, drawn = pool.select(0, 5, RandomState(0))
+        assert positions.size == drawn.size == 0
 
     def test_single_record_stratum(self):
         pool = StratumPool([np.array([42], dtype=np.int64)])
-        np.testing.assert_array_equal(pool.candidates(0), [42])
+        np.testing.assert_array_equal(_undrawn(pool, 0), [42])
         pool.mark_drawn(0, np.array([42], dtype=np.int64))
-        assert pool.candidates(0).size == 0
+        assert _undrawn(pool, 0).size == 0
+
+
+def _assert_select_matches_choice(stratum, takes, seed):
+    """Drive ``select``/``commit`` beside ``rng.choice`` over the gathered
+    undrawn records, on twin streams, and compare every step's bits."""
+    pool = StratumPool([stratum])
+    rng, twin = RandomState(seed), RandomState(seed)
+    undrawn = np.ones(stratum.size, dtype=bool)
+    for take in takes:
+        positions, drawn = pool.select(0, take, rng)
+        want = twin.choice(stratum[undrawn], take, replace=False)
+        assert _bits(drawn) == _bits(want)
+        assert _bits(stratum[positions]) == _bits(drawn)
+        pool.commit(0, positions)
+        undrawn[positions] = False
+        assert pool.remaining[0] == np.count_nonzero(undrawn)
+        assert _bits(_undrawn(pool, 0)) == _bits(stratum[undrawn])
+    assert rng.generator.bit_generator.state == twin.generator.bit_generator.state
+
+
+@st.composite
+def select_schedule(draw):
+    """A small sorted stratum and draw sizes that end by exhausting it."""
+    size = draw(st.integers(min_value=1, max_value=300))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    stratum = np.sort(
+        np.random.default_rng(seed).choice(10 * size, size, replace=False)
+    ).astype(np.int64)
+    takes, remaining = [], size
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        if remaining <= 1:
+            break
+        take = draw(st.integers(min_value=1, max_value=remaining - 1))
+        takes.append(take)
+        remaining -= take
+    return stratum, takes + [remaining], seed
+
+
+class TestPoolSelect:
+    """``select`` is ``rng.choice`` over the undrawn records, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(select_schedule())
+    def test_small_strata_match_choice(self, case):
+        # Under 10,000 records NumPy takes Floyd's path; the last step
+        # takes every remaining record.
+        stratum, takes, seed = case
+        _assert_select_matches_choice(stratum, takes, seed)
+
+    def test_large_stratum_matches_choice_on_both_paths(self):
+        # Over 10,000 records with take > remaining // 50 NumPy shuffles
+        # the tail of an arange; take 5 goes back to Floyd's path, and the
+        # last step takes all 11,445 remaining records.
+        stratum = np.arange(0, 36_000, 3, dtype=np.int64)  # 12,000 records
+        _assert_select_matches_choice(stratum, [300, 250, 5, 11_445], seed=11)
+
+    def test_select_mutates_nothing(self):
+        pool = StratumPool([np.arange(100, dtype=np.int64)])
+        pool.mark_drawn(0, np.array([3, 50, 99], dtype=np.int64))
+        before = pickle.dumps(pool)
+        positions, drawn = pool.select(0, 10, RandomState(5))
+        assert drawn.size == 10
+        assert pickle.dumps(pool) == before
+        assert pool.remaining[0] == 97
 
 
 class TestBucketParity:
@@ -585,22 +659,31 @@ def _pool_state(size=6):
 
 
 class TestPoolPickling:
-    def test_roundtrip_preserves_masks(self):
+    def test_roundtrip_preserves_drawn_positions(self):
         pool = StratumPool([np.arange(10, dtype=np.int64)])
         pool.mark_drawn(0, np.array([2, 5], dtype=np.int64))
         clone = pickle.loads(pickle.dumps(pool))
-        np.testing.assert_array_equal(clone.candidates(0), pool.candidates(0))
+        np.testing.assert_array_equal(_undrawn(clone, 0), _undrawn(pool, 0))
         np.testing.assert_array_equal(clone.remaining, pool.remaining)
 
     def test_pickle_payload_stores_no_backend_name(self):
         state = StratumPool([np.arange(4, dtype=np.int64)]).__getstate__()
-        assert set(state) == {"_strata", "_available", "remaining"}
+        assert set(state) == {"_strata", "_drawn", "remaining"}
+
+    def test_mask_state_restores_drawn_positions(self):
+        # Released checkpoints kept one availability mask per stratum.
+        available = np.array([True, False, True, True, False, True])
+        pool = StratumPool.__new__(StratumPool)
+        pool.__setstate__({**_pool_state(), "_available": [available],
+                           "remaining": np.array([4], dtype=np.int64)})
+        np.testing.assert_array_equal(pool.__getstate__()["_drawn"][0], [1, 4])
+        np.testing.assert_array_equal(_undrawn(pool, 0), [0, 2, 3, 5])
 
     def test_legacy_tuple_state_restores(self):
         # Pre-1.6 checkpoints pickled __slots__ as a (dict, slots) tuple.
         pool = StratumPool.__new__(StratumPool)
         pool.__setstate__((None, _pool_state()))
-        np.testing.assert_array_equal(pool.candidates(0), np.arange(6))
+        np.testing.assert_array_equal(_undrawn(pool, 0), np.arange(6))
         pool.mark_drawn(0, np.array([1], dtype=np.int64))
         assert pool.remaining[0] == 5
 
@@ -609,27 +692,34 @@ class TestPoolPickling:
         # 1.6-1.8 checkpoints named the pool's kernel backend.
         pool = StratumPool.__new__(StratumPool)
         pool.__setstate__({**_pool_state(), "_kernel_backend": backend})
-        np.testing.assert_array_equal(pool.candidates(0), np.arange(6))
+        np.testing.assert_array_equal(_undrawn(pool, 0), np.arange(6))
         assert "_kernel_backend" not in pool.__getstate__()
 
     def test_unknown_saved_backend_falls_back_to_reference(self):
         pool = StratumPool.__new__(StratumPool)
         pool.__setstate__({**_pool_state(3), "_kernel_backend": "cuda"})
-        np.testing.assert_array_equal(pool.candidates(0), np.arange(3))
+        np.testing.assert_array_equal(_undrawn(pool, 0), np.arange(3))
         assert pool.remaining[0] == 3
 
 
 def _legacy_getstate(form, backend):
-    """A ``StratumPool.__getstate__`` that writes a released checkpoint form."""
+    """A ``StratumPool.__getstate__`` that writes a released checkpoint form:
+    one availability mask per stratum, as a dict (naming a kernel backend
+    unless ``backend`` is None) or as the pre-1.6 ``__slots__`` tuple."""
 
     def getstate(self):
+        available = [np.ones(stratum.size, dtype=bool) for stratum in self._strata]
+        for mask, drawn in zip(available, self._drawn):
+            mask[drawn] = False
         state = {
             "_strata": self._strata,
-            "_available": self._available,
+            "_available": available,
             "remaining": self.remaining,
         }
         if form == "tuple":
             return (None, state)
+        if backend is None:
+            return state
         return {**state, "_kernel_backend": backend}
 
     return getstate
@@ -648,7 +738,13 @@ class TestLegacyCheckpointResume:
 
     @pytest.mark.parametrize(
         "form, backend",
-        [("dict", "numpy"), ("dict", "numba"), ("dict", "cuda"), ("tuple", None)],
+        [
+            ("dict", None),
+            ("dict", "numpy"),
+            ("dict", "numba"),
+            ("dict", "cuda"),
+            ("tuple", None),
+        ],
     )
     @pytest.mark.parametrize("builder", ["two_stage", "sequential"])
     def test_resume_is_bit_identical(
@@ -675,8 +771,8 @@ class TestLegacyCheckpointResume:
         with monkeypatch.context() as patch:
             patch.setattr(StratumPool, "__getstate__", _legacy_getstate(form, backend))
             blob = interrupted.checkpoint()
-        if form == "dict":
-            assert b"_kernel_backend" in blob
+        assert b"_available" in blob
+        assert (b"_kernel_backend" in blob) == (backend is not None)
         resumed = pipeline().resume(blob)
         assert estimate_fingerprint(_drive(resumed)) == estimate_fingerprint(reference)
 

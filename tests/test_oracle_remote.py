@@ -113,8 +113,8 @@ class TestRetryPaths:
         assert stats.timeouts == 2
         assert stats.failures == 0
         assert stats.giveups == 0
-        # Four one-record pieces (max_in_flight=4) coalesce into one batch.
-        assert stats.requests == 4
+        # A batch that fits max_batch_size goes unsplit: one request.
+        assert stats.requests == 1
         assert stats.records == 4
         assert stats.batches == 1
         # Accounting is what a clean run would charge: 4 records, once.

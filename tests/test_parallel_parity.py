@@ -373,7 +373,7 @@ class TestParallelPrimitives:
         answers = oracle.evaluate_batch(np.arange(10))
         np.testing.assert_array_equal(answers, LABELS[:10])
         stats = oracle.remote_stats()
-        assert (stats.requests, stats.records, stats.batches) == (4, 10, 1)
+        assert (stats.requests, stats.records, stats.batches) == (1, 10, 1)
         oracle.endpoint.close()
 
     def test_large_batch_spreads_over_in_flight_slots(self):
@@ -386,10 +386,10 @@ class TestParallelPrimitives:
         assert oracle.num_calls == transport.num_calls == 64
         oracle.endpoint.close()
 
-    def test_small_batches_use_one_piece_per_record(self):
+    def test_small_batch_is_one_request(self):
         oracle = blocking_adapter(LabelColumnOracle(LABELS), max_in_flight=4)
         oracle.evaluate_batch([5, 6])
-        assert oracle.remote_stats().requests == 2
+        assert oracle.remote_stats().requests == 1
         assert bool(oracle(3)) is True
         oracle.endpoint.close()
 
