@@ -13,8 +13,8 @@ concurrent oracle calls: a blocking
 :class:`~repro.oracle.remote.AsyncOracle` over a
 :class:`~repro.oracle.remote.RemoteEndpoint` with the latency oracle as
 its transport, at increasing ``max_in_flight``.  The adapter splits every
-batch into ``min(max_in_flight, n)`` contiguous sub-requests that the
-endpoint runs on that many threads.
+batch larger than ``max_batch_size`` into ``min(max_in_flight, n)``
+contiguous sub-requests that the endpoint runs on that many threads.
 
 Determinism is verified in two passes before any timing is reported:
 

@@ -26,8 +26,8 @@ sequential calls.  Therefore, for any ``batch_size`` (including the strict
 per-record path ``batch_size=1``), estimates, confidence intervals and
 ``num_calls`` are bit-identical under a fixed seed — also when the oracle
 is a blocking :class:`~repro.oracle.remote.AsyncOracle` that spreads a
-large batch over its endpoint's in-flight slots, since it joins the answers in
-record order and records the batch once.  The equivalence harness in
+large batch over its endpoint's in-flight slots, since it joins the
+answers in record order and records the batch once.  The equivalence harness in
 ``tests/harness.py`` pins this invariant across the (seed × batch_size ×
 max_in_flight) grid.
 """

@@ -27,12 +27,12 @@ Three pieces:
   error.
 * :class:`AsyncOracle` — the :class:`~repro.oracle.base.Oracle` adapter.
   In **blocking** mode (the default) ``evaluate_batch`` splits a batch
-  larger than ``max_batch_size`` into ``min(max_in_flight, n)`` contiguous
-  sub-requests (see :func:`shard_slices`), flushes, and waits — a drop-in oracle whose
-  callers simply tolerate retries, and whose batches spread over the
-  endpoint's in-flight slots.  This is the one mechanism for concurrent
-  oracle calls: an in-process oracle gains the same overlap by being
-  wrapped as the endpoint's transport.  In **cooperative** mode
+  larger than ``max_batch_size`` into ``min(max_in_flight, n)``
+  contiguous sub-requests (see :func:`shard_slices`), flushes, and
+  waits — a drop-in oracle whose callers simply tolerate retries, and
+  whose batches spread over the endpoint's in-flight slots.  This is the
+  one mechanism for concurrent oracle calls: an in-process oracle gains
+  the same overlap by being wrapped as the endpoint's transport.  In **cooperative** mode
   (``blocking=False``) a not-yet-ready batch raises
   :class:`PendingOracleBatch` instead of waiting; the sampling session
   catches it, rewinds its RNG, and the serving scheduler parks the query
@@ -52,9 +52,10 @@ before re-raising, and the retried step re-selects the *same* records
 (``tests/test_serve_remote.py`` pins this on the fingerprint grid).
 
 Splitting is positional, never temporal: the sub-requests depend only on
-``(n, max_in_flight)``, their answers are joined in record order, and the
-batch is recorded once on the calling thread, so a blocking batch's
-answers and accounting are identical for every ``max_in_flight``.
+``(n, max_batch_size, max_in_flight)``, their answers are joined in
+record order, and the batch is recorded once on the calling thread, so a
+blocking batch's answers and accounting are identical for every
+``max_in_flight``.
 
 Cooperative mode is single-caller by design (one sampling session drives
 one ``AsyncOracle``).
@@ -695,10 +696,10 @@ class AsyncOracle(Oracle):
     call; a larger batch goes as ``min(max_in_flight, n)`` contiguous
     sub-requests, which run on up to ``max_in_flight`` worker threads at
     once.  It flushes, waits on every ticket, and joins the answers in
-    record order — usable anywhere an oracle is.  The joined answers have the type one unsplit ticket returns (an array
-    for an array-returning transport, else a list), and the batch is
-    recorded once.  ``blocking=False``
-    (cooperative): a not-yet-ready batch raises
+    record order — usable anywhere an oracle is.  The joined answers have
+    the type one unsplit ticket returns (an array for an array-returning
+    transport, else a list), and the batch is recorded once.
+    ``blocking=False`` (cooperative): a not-yet-ready batch raises
     :class:`PendingOracleBatch`; the caller retries the *identical*
     request later (the sampling session guarantees this by rewinding its
     RNG), and the adapter recognizes the retry and hands back the

@@ -5,7 +5,7 @@ change results: under a fixed seed, estimates, confidence intervals,
 per-stratum samples and oracle accounting must be **bit-identical** for
 every ``batch_size`` (oracle batching) and whether the oracle is called
 directly or through a blocking :class:`~repro.oracle.remote.AsyncOracle`
-that spreads each batch over ``max_in_flight`` endpoint slots.
+that spreads a large batch over ``max_in_flight`` endpoint slots.
 
 This module turns that contract into a reusable assertion.  A test
 supplies a *cell runner* — a callable ``run(seed, batch_size, wrap) ->
@@ -262,9 +262,9 @@ class EndpointCell:
     :meth:`close` once the run is over.
     """
 
-    # Small enough that a whole-draw batch's pieces launch as separate
-    # transport calls on separate threads, while the pieces of a small
-    # batch still coalesce into one.
+    # Small enough that a whole-draw batch is split and its pieces launch
+    # as separate transport calls on separate threads, while a batch that
+    # fits goes unsplit as one transport call.
     MAX_BATCH_SIZE = 16
 
     def __init__(self, max_in_flight: Optional[int]):

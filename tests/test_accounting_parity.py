@@ -6,7 +6,7 @@ per-record list of call records.  Its contract is that its entries are
 same costs — to what the legacy per-record append implementation
 produced, for every execution
 engine: sequential scalar calls, whole-batch evaluation, a blocking
-remote adapter that splits each batch over its endpoint's in-flight
+remote adapter that splits a large batch over its endpoint's in-flight
 slots, composite short-circuit evaluation and the budget wrapper.
 
 The tests pin that in two ways:

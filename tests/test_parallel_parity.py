@@ -1,8 +1,9 @@
 """Concurrent oracle call parity: the (seed × batch_size × max_in_flight) grid.
 
 Concurrent oracle calls have one mechanism: a blocking
-:class:`~repro.oracle.remote.AsyncOracle` splits each batch into
-``min(max_in_flight, n)`` contiguous sub-requests, its
+:class:`~repro.oracle.remote.AsyncOracle` splits a batch larger than
+``max_batch_size`` into ``min(max_in_flight, n)`` contiguous
+sub-requests, its
 :class:`~repro.oracle.remote.RemoteEndpoint` runs them on up to
 ``max_in_flight`` threads, and the adapter joins the answers in record
 order and records the batch once.  Every sampler family and the query
